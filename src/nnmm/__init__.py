@@ -39,15 +39,7 @@ from .enhancer import (
 from .errors import BundleFormatError, NumericError
 from .features import feature_matrix
 from .metrics import log_spectral_distance, segmental_snr
-from .mixmax import (
-    MixmaxDiagnostics,
-    conditional_mean_below,
-    generative_posterior,
-    hybrid_spp,
-    mmse_estimate,
-    soft_subtract,
-    speech_dominance,
-)
+from .mixmax import MixmaxDiagnostics
 from .mog import PhonemeMog, classify_frames, train_em, train_supervised
 from .nn import NnClassifier, classify_accuracy, forward, init_classifier, train
 from .noise import NoiseModel, adapt, init_from_prefix
@@ -74,15 +66,12 @@ __all__ = [
     "assemble_frames",
     "classify_accuracy",
     "classify_frames",
-    "conditional_mean_below",
     "default_envelopes",
     "edge_padding",
     "enhance_mixmax_original",
     "enhance_utterance",
     "feature_matrix",
     "forward",
-    "generative_posterior",
-    "hybrid_spp",
     "init_classifier",
     "init_from_prefix",
     "istft",
@@ -91,13 +80,10 @@ __all__ = [
     "log_spectra",
     "log_spectral_distance",
     "mix_at_snr",
-    "mmse_estimate",
     "read_wav",
     "save_bundle",
     "save_corpus",
     "segmental_snr",
-    "soft_subtract",
-    "speech_dominance",
     "step_white_noise",
     "stft",
     "synthesize_corpus",

@@ -136,11 +136,6 @@ def istft(s: ComplexSpectrogram) -> np.ndarray:
     return out
 
 
-def log_magnitude(frame: np.ndarray) -> np.ndarray:
-    """Natural-log magnitude of one complex frame, floored to stay finite."""
-    return np.log(np.maximum(np.abs(frame), MAGNITUDE_FLOOR))
-
-
 def log_spectra(s: ComplexSpectrogram) -> np.ndarray:
     """Log-magnitude of every frame, shape (n_frames, n_bins)."""
     return np.log(np.maximum(np.abs(s.frames), MAGNITUDE_FLOOR))

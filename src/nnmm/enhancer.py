@@ -12,7 +12,7 @@ recursively.  Two estimator styles are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .mixmax import (
     MixmaxDiagnostics,
     conditional_mean_below,
     generative_posterior,
+    hybrid_spp,
+    mmse_estimate,
     soft_subtract,
     speech_dominance,
 )
@@ -108,8 +110,6 @@ def _run(
     mog: PhonemeMog,
     net: NnClassifier | None,
     cfg: EnhancerConfig,
-    posterior_source: str,
-    estimator: str,
     adapt_noise: bool,
 ):
     spec = stft(w, cfg.frame_length)
@@ -119,7 +119,7 @@ def _run(
     noise = init_from_prefix(noise_prefix_frames(logspecs, w.sample_rate, cfg))
 
     feats = None
-    if posterior_source == "nn":
+    if cfg.posterior_source == "nn":
         if net is None:
             raise ValueError("nn posterior source requires a trained classifier")
         if net.n_classes != mog.n_components:
@@ -136,20 +136,19 @@ def _run(
 
     for t in range(spec.n_frames):
         z = logspecs[t]
-        if posterior_source == "nn":
+        rho, h = speech_dominance(z, mog, noise, diag)
+        if cfg.posterior_source == "nn":
             p = forward(net, feats[t])
         else:
-            p = generative_posterior(z, mog, noise, diag)
+            p = generative_posterior(h, mog, diag)
 
-        rho = speech_dominance(z, mog, noise, diag)
-        spp = np.clip(p @ rho, 0.0, 1.0)
+        spp = hybrid_spp(p, rho)
         frame_mean_spp[t] = spp.mean()
 
-        if estimator == "soft-subtraction":
+        if cfg.estimator == "soft-subtraction":
             xhat = soft_subtract(z, spp, cfg.beta)
         else:
-            below = conditional_mean_below(z, mog, diag)
-            xhat = p @ (rho * z[np.newaxis, :] + (1.0 - rho) * below)
+            xhat = mmse_estimate(z, p, rho, conditional_mean_below(z, mog, diag))
 
         if adapt_noise:
             noise = adapt(noise, z, spp, cfg.alpha)
@@ -179,12 +178,7 @@ def enhance_utterance(
     report with per-frame mean SPP, fallback counters, and the final noise
     model.
     """
-    return _run(
-        w, mog, net, cfg,
-        posterior_source=cfg.posterior_source,
-        estimator=cfg.estimator,
-        adapt_noise=True,
-    )
+    return _run(w, mog, net, cfg, adapt_noise=True)
 
 
 def enhance_mixmax_original(w: Waveform, mog: PhonemeMog, cfg: EnhancerConfig) -> Waveform:
@@ -193,10 +187,6 @@ def enhance_mixmax_original(w: Waveform, mog: PhonemeMog, cfg: EnhancerConfig) -
     The noise model is initialized from the prefix and never updated, and no
     classifier is involved; only frame length and prefix are read from cfg.
     """
-    enhanced, _ = _run(
-        w, mog, None, cfg,
-        posterior_source="generative",
-        estimator="mixmax-mmse",
-        adapt_noise=False,
-    )
+    cfg = replace(cfg, estimator="mixmax-mmse", posterior_source="generative")
+    enhanced, _ = _run(w, mog, None, cfg, adapt_noise=False)
     return enhanced

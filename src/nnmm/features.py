@@ -55,11 +55,11 @@ def mel_filterbank(n_bins: int, sample_rate: int, n_filters: int = N_MEL_FILTERS
     return fb
 
 
-def mfcc(frame: np.ndarray, sample_rate: int) -> np.ndarray:
-    """13 static cepstra (including c0) of one complex STFT frame."""
-    fb = mel_filterbank(len(frame), sample_rate)
-    energies = np.maximum(fb @ (np.abs(frame) ** 2), ENERGY_FLOOR)
-    return dct(np.log(energies), type=2, norm="ortho")[:N_CEPSTRA]
+def mfcc(frames: np.ndarray, sample_rate: int) -> np.ndarray:
+    """13 static cepstra (including c0) of complex STFT frames, (..., K) -> (..., 13)."""
+    fb = mel_filterbank(frames.shape[-1], sample_rate)
+    energies = np.maximum((np.abs(frames) ** 2) @ fb.T, ENERGY_FLOOR)
+    return dct(np.log(energies), type=2, norm="ortho", axis=-1)[..., :N_CEPSTRA]
 
 
 def deltas(static: np.ndarray) -> np.ndarray:
@@ -106,17 +106,9 @@ def cmvn(features: np.ndarray) -> np.ndarray:
     return out
 
 
-def stack_context(features: np.ndarray, n: int) -> np.ndarray:
-    """Concatenate frames n-4 .. n+4 (edges replicated) into one vector."""
-    features = np.asarray(features, dtype=np.float64)
-    if not 0 <= n < features.shape[0]:
-        raise ValueError(f"frame index {n} out of range")
-    idx = np.clip(np.arange(n - CONTEXT_FRAMES, n + CONTEXT_FRAMES + 1), 0, features.shape[0] - 1)
-    return features[idx].reshape(-1)
-
-
 def stack_all(features: np.ndarray) -> np.ndarray:
-    """Context-stack every frame, (N, C) -> (N, 9C)."""
+    """Context-stack every frame, (N, C) -> (N, 9C): row n is frames n-4 .. n+4,
+    with the edge frames replicated."""
     n = features.shape[0]
     idx = np.clip(
         np.arange(n)[:, None] + np.arange(-CONTEXT_FRAMES, CONTEXT_FRAMES + 1)[None, :],
@@ -131,7 +123,4 @@ def feature_matrix(spec: ComplexSpectrogram, sample_rate: int) -> np.ndarray:
     CMVN statistics are utterance-wide, so this runs offline on the whole
     spectrogram rather than frame by frame.
     """
-    fb = mel_filterbank(spec.n_bins, sample_rate)
-    energies = np.maximum((np.abs(spec.frames) ** 2) @ fb.T, ENERGY_FLOOR)
-    static = dct(np.log(energies), type=2, norm="ortho", axis=1)[:, :N_CEPSTRA]
-    return stack_all(cmvn(deltas(static)))
+    return stack_all(cmvn(deltas(mfcc(spec.frames, sample_rate))))

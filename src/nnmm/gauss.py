@@ -2,14 +2,14 @@
 
 All functions broadcast over numpy arrays.  CDFs go through ``scipy.special``
 erf-based routines, which are accurate to well below 1e-12 absolute error,
-and the log variants stay finite far into the tails where the plain density
+and the log density stays finite far into the tails where the plain density
 underflows.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import ndtr
 
 # Smallest admissible standard deviation (log-magnitude units).  Training and
 # adaptation clamp here so likelihoods never degenerate.
@@ -36,9 +36,3 @@ def gaussian_cdf(x, mu, sigma):
 def log_gaussian_pdf(x, mu, sigma):
     z = (np.asarray(x, dtype=np.float64) - mu) / sigma
     return -0.5 * z * z - np.log(sigma) - _LOG_SQRT_2PI
-
-
-def log_gaussian_cdf(x, mu, sigma):
-    """Log CDF, stable for arguments deep in the lower tail."""
-    z = (np.asarray(x, dtype=np.float64) - mu) / sigma
-    return log_ndtr(z)

@@ -11,7 +11,15 @@ bins on both sides everything is closed form:
 Per-component versions (speech modeled by a class-conditional Gaussian
 mixture) combine into the classic MMSE log-spectral estimator, and the
 dominance probabilities double as per-bin speech presence probabilities for
-soft spectral subtraction.  All functions are pure; models are immutable.
+soft spectral subtraction.
+
+The per-frame terms are formed in one place: :func:`speech_dominance`
+returns ``(rho, h)``, with ``h`` computed by the same code as
+:func:`max_density`.  :func:`generative_posterior`, :func:`hybrid_spp` and
+:func:`mmse_estimate` take those results instead of recomputing them, and
+the enhancer's frame loop calls exactly these functions, so the quadrature
+and Monte-Carlo checks of this module verify the production path.  All
+functions are pure; models are immutable.
 """
 
 from __future__ import annotations
@@ -21,13 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .gauss import DENSITY_FLOOR, gaussian_cdf, gaussian_pdf
+from .gauss import _LOG_SQRT_2PI, DENSITY_FLOOR, gaussian_cdf, gaussian_pdf
 from .mog import PhonemeMog
 from .noise import NoiseModel
 
 LOG_DENSITY_FLOOR = np.log(DENSITY_FLOOR)
-
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -52,42 +58,59 @@ class MixmaxDiagnostics:
 # elementwise max-of-Gaussians density
 # ---------------------------------------------------------------------------
 
-def max_density(z, mu_x, sigma_x, mu_y, sigma_y):
-    """Density of max(X, Y) for independent Gaussians; broadcasts freely."""
+def _max_terms(z, mu_x, sigma_x, mu_y, sigma_y):
+    """The two terms of the max density, f(z) G(z) and F(z) g(z)."""
     f = gaussian_pdf(z, mu_x, sigma_x)
     big_f = gaussian_cdf(z, mu_x, sigma_x)
     g = gaussian_pdf(z, mu_y, sigma_y)
     big_g = gaussian_cdf(z, mu_y, sigma_y)
-    return f * big_g + big_f * g
+    return f * big_g, big_f * g
 
 
-def component_densities(z: np.ndarray, mog: PhonemeMog, noise: NoiseModel):
-    """Per-bin max-model densities for every mixture component.
-
-    Returns ``(h, log_joint)`` where ``h`` has shape (m, K) and ``log_joint``
-    is the length-m vector of per-component joint log-densities (bins are
-    treated as independent, so the joint is the sum of per-bin logs).
-    """
-    z = np.asarray(z, dtype=np.float64)
-    h = max_density(z[np.newaxis, :], mog.means, mog.stds,
-                    noise.mu[np.newaxis, :], noise.sigma[np.newaxis, :])
-    log_joint = np.sum(np.log(np.maximum(h, DENSITY_FLOOR)), axis=1)
-    return h, log_joint
+def max_density(z, mu_x, sigma_x, mu_y, sigma_y):
+    """Density of max(X, Y) for independent Gaussians; broadcasts freely."""
+    speech, noise = _max_terms(z, mu_x, sigma_x, mu_y, sigma_y)
+    return speech + noise
 
 
-def generative_posterior(
+def speech_dominance(
     z: np.ndarray,
     mog: PhonemeMog,
     noise: NoiseModel,
     diag: MixmaxDiagnostics | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(speech exceeds noise | observation, component) and the max density.
+
+    Returns ``(rho, h)``, both of shape (m, K): ``h`` is :func:`max_density`
+    for every component and bin, the one place the per-frame densities are
+    formed.  Bins where ``h`` itself underflows carry no information either
+    way; their ``rho`` comes back as 0.5 and is counted in ``diag``.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    numer, rest = _max_terms(z[np.newaxis, :], mog.means, mog.stds,
+                             noise.mu[np.newaxis, :], noise.sigma[np.newaxis, :])
+    h = numer + rest
+    undecidable = h < DENSITY_FLOOR
+    if diag is not None:
+        diag.undecidable_bins += int(np.count_nonzero(undecidable))
+    rho = np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h))
+    return np.clip(rho, 0.0, 1.0), h
+
+
+def generative_posterior(
+    h: np.ndarray,
+    mog: PhonemeMog,
+    diag: MixmaxDiagnostics | None = None,
 ) -> np.ndarray:
     """Component posterior p(i | z) under the max-model mixture, length m.
 
-    Computed in the log domain with max-subtraction.  If every component
-    underflows to nothing (non-finite scores), a uniform posterior is
-    returned and counted in ``diag``.
+    ``h`` is the (m, K) density from :func:`speech_dominance`; bins are
+    treated as independent, so each component's joint log-density is the
+    sum of its per-bin logs.  Computed in the log domain with
+    max-subtraction.  If every component underflows to nothing (non-finite
+    scores), a uniform posterior is returned and counted in ``diag``.
     """
-    _, log_joint = component_densities(z, mog, noise)
+    log_joint = np.sum(np.log(np.maximum(h, DENSITY_FLOOR)), axis=1)
     scores = np.log(mog.weights) + log_joint
     top = np.max(scores)
     if not np.isfinite(top):
@@ -96,33 +119,6 @@ def generative_posterior(
         return np.full(mog.n_components, 1.0 / mog.n_components)
     w = np.exp(scores - top)
     return w / np.sum(w)
-
-
-def speech_dominance(
-    z: np.ndarray,
-    mog: PhonemeMog,
-    noise: NoiseModel,
-    diag: MixmaxDiagnostics | None = None,
-) -> np.ndarray:
-    """P(speech exceeds noise | observation, component), shape (m, K).
-
-    Bins where the mixture density itself underflows carry no information
-    either way; those come back as 0.5 and are counted in ``diag``.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    zb = z[np.newaxis, :]
-    f = gaussian_pdf(zb, mog.means, mog.stds)
-    big_g = gaussian_cdf(zb, noise.mu[np.newaxis, :], noise.sigma[np.newaxis, :])
-    g = gaussian_pdf(zb, noise.mu[np.newaxis, :], noise.sigma[np.newaxis, :])
-    big_f = gaussian_cdf(zb, mog.means, mog.stds)
-
-    numer = f * big_g
-    h = numer + big_f * g
-    undecidable = h < DENSITY_FLOOR
-    if diag is not None:
-        diag.undecidable_bins += int(np.count_nonzero(undecidable))
-    rho = np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h))
-    return np.clip(rho, 0.0, 1.0)
 
 
 def conditional_mean_below(
@@ -153,51 +149,42 @@ def conditional_mean_below(
     return np.where(fallback, z[np.newaxis, :] - mog.stds, mean)
 
 
+def _check_posterior(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (rho.shape[0],):
+        raise ValueError("posterior length must match component count")
+    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("posterior must be a probability vector")
+    return p
+
+
 def mmse_estimate(
     z: np.ndarray,
     posterior: np.ndarray,
-    mog: PhonemeMog,
-    noise: NoiseModel,
-    diag: MixmaxDiagnostics | None = None,
+    rho: np.ndarray,
+    below: np.ndarray,
 ) -> np.ndarray:
     """Posterior-weighted MMSE estimate of the clean log-spectrum, length K.
 
     Per component the estimate keeps the observation where speech dominates
     and falls back to the truncated-Gaussian mean where noise does:
-    x̂ = rho·z + (1−rho)·E[X | X < z].
+    x̂ = rho·z + (1−rho)·E[X | X < z], with ``rho`` from
+    :func:`speech_dominance` and ``below`` from :func:`conditional_mean_below`.
     """
     z = np.asarray(z, dtype=np.float64)
-    p = np.asarray(posterior, dtype=np.float64)
-    if p.shape != (mog.n_components,):
-        raise ValueError("posterior length must match component count")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("posterior must be a probability vector")
-    rho = speech_dominance(z, mog, noise, diag)
-    below = conditional_mean_below(z, mog, diag)
+    p = _check_posterior(posterior, rho)
     per_component = rho * z[np.newaxis, :] + (1.0 - rho) * below
     return p @ per_component
 
 
-def hybrid_spp(
-    p_nn: np.ndarray,
-    z: np.ndarray,
-    mog: PhonemeMog,
-    noise: NoiseModel,
-    diag: MixmaxDiagnostics | None = None,
-) -> np.ndarray:
-    """Speech presence probability per bin: classifier-weighted dominance.
+def hybrid_spp(p_nn: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Speech presence probability per bin: posterior-weighted dominance.
 
-    Mixes the per-component dominance probabilities with an externally
-    supplied component posterior (typically from the discriminative
-    classifier) instead of the generative one.
+    Mixes the per-component dominance ``rho`` from :func:`speech_dominance`
+    with a component posterior, either the discriminative classifier's or
+    the generative one.
     """
-    p = np.asarray(p_nn, dtype=np.float64)
-    if p.shape != (mog.n_components,):
-        raise ValueError("posterior length must match component count")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("posterior must be a probability vector")
-    rho = speech_dominance(z, mog, noise, diag)
-    return np.clip(p @ rho, 0.0, 1.0)
+    return np.clip(_check_posterior(p_nn, rho) @ rho, 0.0, 1.0)
 
 
 def soft_subtract(z: np.ndarray, spp: np.ndarray, beta: float) -> np.ndarray:

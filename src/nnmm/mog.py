@@ -11,16 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauss import DENSITY_FLOOR, SIGMA_FLOOR, gaussian_cdf, gaussian_pdf, log_gaussian_pdf
-
-__all__ = [
-    "PhonemeMog",
-    "train_supervised",
-    "train_em",
-    "averaged_psd",
-    "gaussian_pdf",
-    "gaussian_cdf",
-]
+from .gauss import DENSITY_FLOOR, SIGMA_FLOOR, log_gaussian_pdf
 
 
 @dataclass(frozen=True)
@@ -165,13 +156,6 @@ def classify_frames(mog: PhonemeMog, logspecs: np.ndarray) -> np.ndarray:
     return np.argmax(frame_log_joints(mog, logspecs), axis=1)
 
 
-def em_log_likelihood(mog: PhonemeMog, logspecs: np.ndarray) -> float:
-    """Total data log-likelihood under the mixture (diagnostic for EM runs)."""
-    logp = frame_log_joints(mog, logspecs)
-    peak = logp.max(axis=1, keepdims=True)
-    return float((peak[:, 0] + np.log(np.exp(logp - peak).sum(axis=1))).sum())
-
-
 def _kmeanspp_seeds(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     sub = x[rng.choice(x.shape[0], size=min(x.shape[0], 2048), replace=False)]
     seeds = [sub[rng.integers(sub.shape[0])]]
@@ -184,13 +168,3 @@ def _kmeanspp_seeds(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
             continue
         seeds.append(sub[rng.choice(sub.shape[0], p=d2 / d2.sum())])
     return np.array(seeds)
-
-
-def averaged_psd(posteriors: np.ndarray, mog: PhonemeMog) -> np.ndarray:
-    """Posterior-weighted average of the component centroids, shape (K,)."""
-    p = np.asarray(posteriors, dtype=np.float64)
-    if p.shape != (mog.n_components,):
-        raise ValueError("posterior length must match component count")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError("posteriors must be nonnegative and sum to 1")
-    return p @ mog.means

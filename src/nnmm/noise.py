@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import MAGNITUDE_FLOOR
 from .gauss import SIGMA_FLOOR
 
 
@@ -71,15 +70,3 @@ def adapt(model: NoiseModel, z: np.ndarray, spp: np.ndarray, alpha: float) -> No
         alpha * np.abs(z - mu_new) + (1.0 - alpha) * model.sigma
     )
     return NoiseModel(mu=mu_new, sigma=np.maximum(sigma_new, SIGMA_FLOOR))
-
-
-def quiet_noise_model(n_bins: int) -> NoiseModel:
-    """Noise model pinned at the magnitude floor: the no-noise limit.
-
-    Useful for running the generative classifier on clean speech, where the
-    mixture density then reduces to the clean-speech component densities.
-    """
-    return NoiseModel(
-        mu=np.full(n_bins, np.log(MAGNITUDE_FLOOR)),
-        sigma=np.full(n_bins, SIGMA_FLOOR),
-    )

@@ -25,7 +25,9 @@ from nnmm.dsp import Waveform, edge_padding, istft, stft
 from nnmm.enhancer import EnhancerConfig, enhance_mixmax_original, enhance_utterance
 from nnmm.metrics import segmental_snr
 from nnmm.mixmax import (
+    conditional_mean_below,
     generative_posterior,
+    hybrid_spp,
     max_density,
     mmse_estimate,
     speech_dominance,
@@ -131,8 +133,9 @@ def test_c02_mmse_estimate_matches_monte_carlo(scalar_mc):
     assert scalar_mc["mc_time"] < 60.0
     for z, mc in scalar_mc["records"]:
         zv = np.array([z])
-        posterior = generative_posterior(zv, mog, noise)
-        closed = mmse_estimate(zv, posterior, mog, noise)[0]
+        rho, h = speech_dominance(zv, mog, noise)
+        posterior = generative_posterior(h, mog)
+        closed = mmse_estimate(zv, posterior, rho, conditional_mean_below(zv, mog))[0]
         assert mc["n"] > 500, f"window at z={z} too empty for a meaningful SE"
         assert abs(closed - mc["mean_x"]) < 3 * mc["mean_x_se"], (
             f"z={z}: closed {closed:.4f}, mc {mc['mean_x']:.4f} "
@@ -146,9 +149,9 @@ def test_c03_speech_dominance_matches_monte_carlo(scalar_mc):
     assert scalar_mc["mc_time"] < 60.0
     for z, mc in scalar_mc["records"]:
         zv = np.array([z])
-        posterior = generative_posterior(zv, mog, noise)
-        rho = speech_dominance(zv, mog, noise)
-        closed = float(posterior @ rho[:, 0])
+        rho, h = speech_dominance(zv, mog, noise)
+        posterior = generative_posterior(h, mog)
+        closed = float(hybrid_spp(posterior, rho)[0])
         assert abs(closed - mc["p_dominance"]) < 3 * mc["p_se"], (
             f"z={z}: closed {closed:.4f}, mc {mc['p_dominance']:.4f} "
             f"+/- {mc['p_se']:.4f}"

@@ -9,7 +9,6 @@ from nnmm.dsp import (
     analysis_window,
     edge_padding,
     istft,
-    log_magnitude,
     log_spectra,
     num_frames,
     read_wav,
@@ -101,13 +100,14 @@ class TestRoundTrip:
 
 class TestLogMagnitude:
     def test_floor_applied(self):
-        z = log_magnitude(np.zeros(5, dtype=complex))
-        np.testing.assert_allclose(z, np.log(1e-10))
+        s = ComplexSpectrogram(frames=np.zeros((2, 5), dtype=complex), frame_length=8, hop=2)
+        np.testing.assert_allclose(log_spectra(s), np.log(1e-10))
 
     def test_matches_naive(self):
         rng = np.random.default_rng(3)
-        fr = rng.standard_normal(257) + 1j * rng.standard_normal(257)
-        np.testing.assert_allclose(log_magnitude(fr), np.log(np.abs(fr)))
+        fr = rng.standard_normal((3, 257)) + 1j * rng.standard_normal((3, 257))
+        s = ComplexSpectrogram(frames=fr, frame_length=512, hop=128)
+        np.testing.assert_allclose(log_spectra(s), np.log(np.abs(fr)))
 
     def test_log_spectra_stacks_frames(self):
         rng = np.random.default_rng(4)
@@ -115,7 +115,7 @@ class TestLogMagnitude:
         s = stft(w, 512)
         ls = log_spectra(s)
         assert ls.shape == (s.n_frames, s.n_bins)
-        np.testing.assert_allclose(ls[2], log_magnitude(s.frames[2]))
+        np.testing.assert_allclose(ls[2], np.log(np.abs(s.frames[2])))
 
     def test_reconstruct_keeps_phase(self):
         """exp(log-magnitude) with the noisy phase reproduces the frame."""

@@ -11,7 +11,15 @@ from nnmm.corpus import (
     synthesize_corpus,
     white_noise,
 )
-from nnmm.dsp import Waveform, edge_padding, log_spectra, stft
+from nnmm.dsp import (
+    ComplexSpectrogram,
+    Waveform,
+    edge_padding,
+    istft,
+    log_spectra,
+    reconstruct_frame,
+    stft,
+)
 from nnmm.enhancer import (
     EnhancerConfig,
     enhance_mixmax_original,
@@ -19,10 +27,17 @@ from nnmm.enhancer import (
     noise_prefix_frames,
 )
 from nnmm.features import feature_matrix
-from nnmm.mixmax import conditional_mean_below, generative_posterior, speech_dominance
+from nnmm.mixmax import (
+    MixmaxDiagnostics,
+    conditional_mean_below,
+    generative_posterior,
+    mmse_estimate,
+    soft_subtract,
+    speech_dominance,
+)
 from nnmm.mog import train_supervised
 from nnmm.nn import forward, train
-from nnmm.noise import init_from_prefix
+from nnmm.noise import adapt, init_from_prefix
 
 
 @pytest.fixture(scope="module")
@@ -154,61 +169,86 @@ class TestBehaviour:
 
 class TestComposition:
     def test_fixed_noise_mmse_matches_manual_frames(self, setup):
-        """Reference mode equals the frame-by-frame estimator calls."""
-        from nnmm.mixmax import mmse_estimate
-
+        """Reference mode equals the frame-by-frame estimator calls, through
+        reconstruction, overlap-add and the edge-padding slice.  The default
+        config is passed: the reference mode sets its own estimator and
+        posterior source."""
         mog, _, _, noisy = setup
-        cfg = EnhancerConfig(estimator="mixmax-mmse", posterior_source="generative")
+        cfg = EnhancerConfig()
         spec = stft(noisy, 512)
         logs = log_spectra(spec)
         noise = init_from_prefix(noise_prefix_frames(logs, 16000, cfg))
 
         manual = np.empty_like(logs)
         for t in range(spec.n_frames):
-            p = generative_posterior(logs[t], mog, noise)
-            manual[t] = mmse_estimate(logs[t], p, mog, noise)
+            rho, h = speech_dominance(logs[t], mog, noise)
+            p = generative_posterior(h, mog)
+            manual[t] = mmse_estimate(logs[t], p, rho, conditional_mean_below(logs[t], mog))
 
-        # run the pipeline and recompute its log spectra pre-OLA by redoing
-        # the same loop; compare the estimator outputs directly
-        out = enhance_mixmax_original(noisy, mog, cfg)
-        assert len(out) == len(noisy)
-        # spot-check one frame against the library pieces
+        # spot-check one frame against the closed form written out
         t = spec.n_frames // 2
-        p = generative_posterior(logs[t], mog, noise)
-        rho = speech_dominance(logs[t], mog, noise)
+        rho, h = speech_dominance(logs[t], mog, noise)
+        p = generative_posterior(h, mog)
         below = conditional_mean_below(logs[t], mog)
         expect = p @ (rho * logs[t][np.newaxis, :] + (1.0 - rho) * below)
         np.testing.assert_allclose(manual[t], expect, rtol=0, atol=1e-12)
 
-    def test_full_loop_replication(self, setup):
-        """Replaying posterior -> dominance -> SPP -> subtract -> adapt by hand
-        reproduces the report exactly and keeps every frame within bounds."""
-        from nnmm.mixmax import soft_subtract
-        from nnmm.noise import adapt
+        frames = np.array([reconstruct_frame(manual[t], spec.frames[t])
+                           for t in range(spec.n_frames)])
+        y = istft(ComplexSpectrogram(frames=frames, frame_length=512, hop=spec.hop))
+        pad = edge_padding(512)
+        expected = y[pad:pad + len(noisy)]
 
+        out = enhance_mixmax_original(noisy, mog, cfg)
+        assert len(out) == len(noisy)
+        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def replay_full_loop(setup, posterior_source):
+        """Replaying dominance -> posterior -> SPP -> subtract -> adapt by hand
+        reproduces the report exactly and keeps every frame within bounds.
+
+        A stretch of digital silence makes the max density underflow in some
+        bins, so the fallback counters have something to count.
+        """
         mog, net, _, noisy = setup
-        cfg = EnhancerConfig()
+        samples = noisy.samples.copy()
+        samples[12000:14000] = 0.0
+        noisy = Waveform(samples=samples, sample_rate=noisy.sample_rate)
+        cfg = EnhancerConfig(posterior_source=posterior_source)
         spec = stft(noisy, 512)
         logs = log_spectra(spec)
         noise = init_from_prefix(noise_prefix_frames(logs, 16000, cfg))
         feats = feature_matrix(spec, 16000)
 
+        diag = MixmaxDiagnostics()
         mean_spp = np.empty(spec.n_frames)
         for t in range(spec.n_frames):
             z = logs[t]
-            p = forward(net, feats[t])
-            rho = speech_dominance(z, mog, noise)
+            rho, h = speech_dominance(z, mog, noise, diag)
+            if posterior_source == "nn":
+                p = forward(net, feats[t])
+            else:
+                p = generative_posterior(h, mog, diag)
             spp = np.clip(p @ rho, 0.0, 1.0)
             mean_spp[t] = spp.mean()
             xhat = soft_subtract(z, spp, cfg.beta)
             assert np.all(xhat <= z + 1e-15)
             assert np.all(xhat >= z - cfg.beta - 1e-15)
             noise = adapt(noise, z, spp, cfg.alpha)
+        assert diag.undecidable_bins > 0
 
         _, report = enhance_utterance(noisy, mog, net, cfg)
         np.testing.assert_allclose(report.frame_mean_spp, mean_spp, atol=1e-14)
         np.testing.assert_allclose(report.noise.mu, noise.mu, atol=1e-14)
         np.testing.assert_allclose(report.noise.sigma, noise.sigma, atol=1e-14)
+        assert report.diagnostics == diag
+
+    def test_full_loop_replication(self, setup):
+        self.replay_full_loop(setup, "nn")
+
+    def test_full_loop_replication_generative(self, setup):
+        self.replay_full_loop(setup, "generative")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from nnmm.features import (
     mel_to_hz,
     mfcc,
     stack_all,
-    stack_context,
 )
 
 
@@ -85,6 +84,15 @@ class TestMfcc:
         b = mfcc(2.0 * frame, 16000)
         np.testing.assert_allclose(b[1:], a[1:], atol=1e-10)
         assert b[0] > a[0]
+
+    def test_frames_match_single_frame_rows(self):
+        """A (N, K) stack gives the same cepstra as N single-frame calls."""
+        rng = np.random.default_rng(2)
+        frames = rng.standard_normal((6, 257)) + 1j * rng.standard_normal((6, 257))
+        stacked = mfcc(frames, 16000)
+        assert stacked.shape == (6, N_CEPSTRA)
+        for t in range(6):
+            np.testing.assert_allclose(stacked[t], mfcc(frames[t], 16000), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +161,29 @@ class TestCmvn:
 
 
 class TestStacking:
-    def test_stack_context_matches_manual(self):
+    def test_stack_all_rows_match_manual(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((12, 3))
+        stacked = stack_all(x)
         # frame 0: the four left neighbors replicate frame 0
         np.testing.assert_allclose(
-            stack_context(x, 0), np.concatenate([np.tile(x[0], 5), x[1], x[2], x[3], x[4]])
+            stacked[0], np.concatenate([np.tile(x[0], 5), x[1], x[2], x[3], x[4]])
         )
         # interior frame sees the raw +-4 window
-        np.testing.assert_allclose(stack_context(x, 5), x[1:10].ravel())
+        np.testing.assert_allclose(stacked[5], x[1:10].ravel())
+        # last frame: the four right neighbors replicate frame 11
+        np.testing.assert_allclose(
+            stacked[11], np.concatenate([x[7], x[8], x[9], x[10], np.tile(x[11], 5)])
+        )
 
     def test_stack_all_matches_per_frame(self):
+        """Row t is frames t-4 .. t+4, with indices clamped to the utterance."""
         rng = np.random.default_rng(7)
         x = rng.standard_normal((10, 4))
         stacked = stack_all(x)
         for t in range(10):
-            np.testing.assert_allclose(stacked[t], stack_context(x, t))
+            window = [x[min(max(j, 0), 9)] for j in range(t - CONTEXT_FRAMES, t + CONTEXT_FRAMES + 1)]
+            np.testing.assert_allclose(stacked[t], np.concatenate(window))
 
     def test_stack_all_dim(self):
         x = np.zeros((20, 39))

@@ -2,16 +2,20 @@
 
 The closed forms are checked three independent ways: Simpson quadrature for
 density normalization, finite differences of the product CDF for the density
-formula, and rejection sampling for the conditional expectations.
+formula, and rejection sampling for the conditional expectations.  The
+estimators are driven the way the enhancer drives them: ``speech_dominance``
+forms ``(rho, h)`` once and the posterior, SPP and MMSE estimate reuse it.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nnmm.gauss import gaussian_cdf
+from nnmm.gauss import SIGMA_FLOOR, gaussian_cdf
 from nnmm.mixmax import (
     MixmaxDiagnostics,
-    component_densities,
     conditional_mean_below,
     generative_posterior,
     hybrid_spp,
@@ -36,6 +40,18 @@ def single_mog(mu, sigma):
 def noise_of(mu, sigma):
     return NoiseModel(mu=np.atleast_1d(np.asarray(mu, dtype=float)),
                       sigma=np.atleast_1d(np.asarray(sigma, dtype=float)))
+
+
+def posterior_at(z, mog, noise, diag=None):
+    """Generative posterior from the density that speech_dominance forms."""
+    _, h = speech_dominance(z, mog, noise)
+    return generative_posterior(h, mog, diag)
+
+
+def mmse_at(z, p, mog, noise):
+    """MMSE estimate from the per-frame terms, as the enhancer forms them."""
+    rho, _ = speech_dominance(z, mog, noise)
+    return mmse_estimate(z, p, rho, conditional_mean_below(z, mog))
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +117,21 @@ class TestMaxDensity:
         total = density_integral(mixture, -20.0, 25.0)
         assert abs(total - 1.0) < 1e-5
 
-    def test_component_densities_shapes_and_log_joint(self):
-        mog = PhonemeMog(weights=np.array([0.5, 0.5]),
-                         means=np.zeros((2, 4)), stds=np.ones((2, 4)))
-        noise = noise_of(np.zeros(4), np.ones(4))
-        h, log_joint = component_densities(np.zeros(4), mog, noise)
+    def test_dominance_density_shapes_and_log_joint(self):
+        """speech_dominance's h is max_density per component; the generative
+        posterior is the normalized weight times the product of its bins."""
+        rng = np.random.default_rng(6)
+        mog = PhonemeMog(weights=np.array([0.3, 0.7]),
+                         means=rng.normal(0, 1, (2, 4)), stds=rng.uniform(0.5, 1.5, (2, 4)))
+        noise = noise_of(rng.normal(0, 1, 4), rng.uniform(0.5, 1.5, 4))
+        z = rng.normal(0, 1, 4)
+        _, h = speech_dominance(z, mog, noise)
         assert h.shape == (2, 4)
-        np.testing.assert_allclose(log_joint, np.log(h).sum(axis=1), rtol=1e-12)
+        np.testing.assert_array_equal(
+            h, max_density(z, mog.means, mog.stds, noise.mu, noise.sigma))
+        joint = mog.weights * np.prod(h, axis=1)
+        np.testing.assert_allclose(generative_posterior(h, mog), joint / joint.sum(),
+                                   rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +143,21 @@ class TestGenerativePosterior:
     def test_single_component_is_certain(self):
         mog = single_mog([0.0, 1.0], [1.0, 1.0])
         noise = noise_of([0.0, 0.0], [1.0, 1.0])
-        np.testing.assert_allclose(generative_posterior(np.zeros(2), mog, noise), [1.0])
+        np.testing.assert_allclose(posterior_at(np.zeros(2), mog, noise), [1.0])
 
     def test_z_at_far_separated_component_mean(self):
         mog = PhonemeMog(weights=np.array([0.5, 0.5]),
                          means=np.array([[0.0, 0.0], [30.0, 30.0]]),
                          stds=np.ones((2, 2)))
         noise = noise_of([-5.0, -5.0], [1.0, 1.0])
-        p = generative_posterior(np.array([30.0, 30.0]), mog, noise)
+        p = posterior_at(np.array([30.0, 30.0]), mog, noise)
         assert p[1] > 0.99
 
     def test_symmetric_components_give_uniform(self):
         mog = PhonemeMog(weights=np.array([0.25, 0.25, 0.5]),
                          means=np.zeros((3, 2)), stds=np.ones((3, 2)))
         noise = noise_of(np.zeros(2), np.ones(2))
-        p = generative_posterior(np.ones(2), mog, noise)
+        p = posterior_at(np.ones(2), mog, noise)
         np.testing.assert_allclose(p[0], p[1], rtol=1e-12)
         assert abs(p.sum() - 1.0) < 1e-12
 
@@ -144,7 +168,7 @@ class TestGenerativePosterior:
                          stds=rng.uniform(0.5, 2, (4, 8)))
         noise = noise_of(rng.normal(0, 1, 8), rng.uniform(0.5, 2, 8))
         for _ in range(5):
-            p = generative_posterior(rng.normal(0, 3, 8), mog, noise)
+            p = posterior_at(rng.normal(0, 3, 8), mog, noise)
             assert abs(p.sum() - 1.0) < 1e-9
             assert np.all(p >= 0)
 
@@ -152,7 +176,7 @@ class TestGenerativePosterior:
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
         diag = MixmaxDiagnostics()
-        p = generative_posterior(np.array([np.nan]), mog, noise, diag)
+        p = posterior_at(np.array([np.nan]), mog, noise, diag)
         np.testing.assert_allclose(p, [1.0])
         assert diag.uniform_posteriors == 1
 
@@ -166,19 +190,19 @@ class TestSpeechDominance:
     def test_identical_distributions_are_coin_flips(self):
         mog = single_mog(np.zeros(5), np.ones(5))
         noise = noise_of(np.zeros(5), np.ones(5))
-        rho = speech_dominance(np.linspace(-2, 2, 5), mog, noise)
+        rho, _ = speech_dominance(np.linspace(-2, 2, 5), mog, noise)
         np.testing.assert_allclose(rho, 0.5, rtol=1e-12)
 
     def test_speech_far_above_noise_dominates(self):
         mog = single_mog([0.0], [1.0])
         noise = noise_of([-30.0], [1.0])
-        rho = speech_dominance(np.array([0.5]), mog, noise)
+        rho, _ = speech_dominance(np.array([0.5]), mog, noise)
         np.testing.assert_allclose(rho, 1.0, atol=1e-12)
 
     def test_noise_far_above_speech_dominates(self):
         mog = single_mog([-30.0], [1.0])
         noise = noise_of([0.0], [1.0])
-        rho = speech_dominance(np.array([0.5]), mog, noise)
+        rho, _ = speech_dominance(np.array([0.5]), mog, noise)
         np.testing.assert_allclose(rho, 0.0, atol=1e-12)
 
     def test_monte_carlo_rejection_oracle(self):
@@ -188,7 +212,7 @@ class TestSpeechDominance:
         noise = noise_of([0.0], [0.9])
         for z in [-0.5, 0.5, 1.5, 2.5]:
             est = mc_max_window(rng, 400_000, 1.0, 1.2, 0.0, 0.9, z, 0.02)
-            rho = speech_dominance(np.array([z]), mog, noise)[0, 0]
+            rho = speech_dominance(np.array([z]), mog, noise)[0][0, 0]
             assert abs(rho - est["p_dominance"]) < 3 * est["p_se"], (
                 f"z={z}: closed {rho:.4f} vs mc {est['p_dominance']:.4f}"
             )
@@ -198,7 +222,7 @@ class TestSpeechDominance:
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
         diag = MixmaxDiagnostics()
-        rho = speech_dominance(np.array([60.0]), mog, noise, diag)
+        rho, _ = speech_dominance(np.array([60.0]), mog, noise, diag)
         assert rho[0, 0] == 0.5
         assert diag.undecidable_bins == 1
 
@@ -209,7 +233,7 @@ class TestSpeechDominance:
                          stds=rng.uniform(0.3, 2, (2, 6)))
         noise = noise_of(rng.normal(0, 3, 6), rng.uniform(0.3, 2, 6))
         for _ in range(20):
-            rho = speech_dominance(rng.normal(0, 5, 6), mog, noise)
+            rho, _ = speech_dominance(rng.normal(0, 5, 6), mog, noise)
             assert np.all(rho >= 0) and np.all(rho <= 1)
 
 
@@ -277,7 +301,7 @@ class TestMmse:
         mog = single_mog([0.0, 1.0], [1.0, 1.0])
         noise = noise_of([-40.0, -40.0], [0.5, 0.5])
         z = np.array([0.3, 0.8])
-        out = mmse_estimate(z, np.array([1.0]), mog, noise)
+        out = mmse_at(z, np.array([1.0]), mog, noise)
         np.testing.assert_allclose(out, z, atol=1e-6)
 
     def test_one_hot_posterior_reduces_to_single_component(self):
@@ -287,10 +311,10 @@ class TestMmse:
                          stds=rng.uniform(0.5, 1.5, (2, 5)))
         noise = noise_of(rng.normal(0, 1, 5), rng.uniform(0.5, 1.5, 5))
         z = rng.normal(0, 2, 5)
-        rho = speech_dominance(z, mog, noise)
+        rho, _ = speech_dominance(z, mog, noise)
         below = conditional_mean_below(z, mog)
         expected = rho[1] * z + (1 - rho[1]) * below[1]
-        out = mmse_estimate(z, np.array([0.0, 1.0]), mog, noise)
+        out = mmse_estimate(z, np.array([0.0, 1.0]), rho, below)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_never_exceeds_observation(self):
@@ -302,7 +326,7 @@ class TestMmse:
         for _ in range(25):
             z = rng.normal(0, 5, 7)
             p = rng.dirichlet([1, 1])
-            out = mmse_estimate(z, p, mog, noise)
+            out = mmse_at(z, p, mog, noise)
             assert np.all(out <= z + 1e-9)
 
     def test_scalar_monte_carlo_oracle(self):
@@ -312,14 +336,16 @@ class TestMmse:
         noise = noise_of([0.5], [0.8])
         for z in [0.2, 1.0, 2.0]:
             est = mc_max_window(rng, 400_000, 0.0, 1.0, 0.5, 0.8, z, 0.02)
-            closed = mmse_estimate(np.array([z]), np.array([1.0]), mog, noise)[0]
+            closed = mmse_at(np.array([z]), np.array([1.0]), mog, noise)[0]
             assert abs(closed - est["mean_x"]) < 3 * est["mean_x_se"], f"z={z}"
 
     def test_bad_posterior_rejected(self):
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
+        rho, _ = speech_dominance(np.zeros(1), mog, noise)
+        below = conditional_mean_below(np.zeros(1), mog)
         with pytest.raises(ValueError, match="probability"):
-            mmse_estimate(np.zeros(1), np.array([0.4]), mog, noise)
+            mmse_estimate(np.zeros(1), np.array([0.4]), rho, below)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +358,8 @@ class TestHybridSpp:
         mog = PhonemeMog(weights=np.array([0.5, 0.5]),
                          means=np.zeros((2, 3)), stds=np.ones((2, 3)))
         noise = noise_of(np.full(3, -35.0), np.ones(3))
-        spp = hybrid_spp(np.array([0.3, 0.7]), np.zeros(3), mog, noise)
+        rho, _ = speech_dominance(np.zeros(3), mog, noise)
+        spp = hybrid_spp(np.array([0.3, 0.7]), rho)
         np.testing.assert_allclose(spp, 1.0, atol=1e-12)
 
     def test_one_hot_selects_component_row(self):
@@ -342,9 +369,8 @@ class TestHybridSpp:
                          stds=rng.uniform(0.5, 1.5, (2, 4)))
         noise = noise_of(rng.normal(0, 1, 4), rng.uniform(0.5, 1.5, 4))
         z = rng.normal(0, 2, 4)
-        rho = speech_dominance(z, mog, noise)
-        np.testing.assert_allclose(
-            hybrid_spp(np.array([1.0, 0.0]), z, mog, noise), rho[0], rtol=1e-12)
+        rho, _ = speech_dominance(z, mog, noise)
+        np.testing.assert_allclose(hybrid_spp(np.array([1.0, 0.0]), rho), rho[0], rtol=1e-12)
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(18)
@@ -356,12 +382,19 @@ class TestHybridSpp:
         z = rng.normal(0, 2, k)
         p = rng.dirichlet(np.ones(m))
 
-        rho = speech_dominance(z, mog, noise)
+        rho, _ = speech_dominance(z, mog, noise)
         naive = np.zeros(k)
         for kk in range(k):
             for i in range(m):
                 naive[kk] += p[i] * rho[i, kk]
-        np.testing.assert_allclose(hybrid_spp(p, z, mog, noise), naive, rtol=1e-12)
+        np.testing.assert_allclose(hybrid_spp(p, rho), naive, rtol=1e-12)
+
+    def test_bad_posterior_rejected(self):
+        rho = np.full((2, 3), 0.5)
+        with pytest.raises(ValueError, match="component count"):
+            hybrid_spp(np.array([1.0]), rho)
+        with pytest.raises(ValueError, match="probability"):
+            hybrid_spp(np.array([0.7, 0.7]), rho)
 
 
 class TestSoftSubtract:
@@ -396,3 +429,49 @@ class TestDiagnostics:
         a.merge(b)
         assert (a.uniform_posteriors, a.undecidable_bins, a.tail_fallbacks) == (1, 2, 7)
         assert a.total == 10
+
+
+# ---------------------------------------------------------------------------
+# Per-frame invariants over random models
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def frame_cases(draw):
+    """A random mixture, noise model (sigma >= SIGMA_FLOOR), observation z,
+    and an external component posterior."""
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+
+    def vec(shape, lo, hi):
+        return draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+    weights = vec(m, 0.01, 1.0)
+    mog = PhonemeMog(weights=weights / weights.sum(),
+                     means=vec((m, k), -10.0, 10.0),
+                     stds=vec((m, k), SIGMA_FLOOR, 5.0))
+    noise = NoiseModel(mu=vec(k, -10.0, 10.0), sigma=vec(k, SIGMA_FLOOR, 5.0))
+    p = vec(m, 0.01, 1.0)
+    return mog, noise, vec(k, -30.0, 30.0), p / p.sum()
+
+
+class TestKernelProperties:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(frame_cases())
+    def test_per_frame_invariants(self, case):
+        mog, noise, z, p_ext = case
+        diag = MixmaxDiagnostics()
+        rho, h = speech_dominance(z, mog, noise, diag)
+        assert np.all((rho >= 0) & (rho <= 1))
+        np.testing.assert_array_equal(
+            h, max_density(z, mog.means, mog.stds, noise.mu, noise.sigma))
+
+        p_gen = generative_posterior(h, mog, diag)
+        assert np.all(p_gen >= 0)
+        assert abs(p_gen.sum() - 1.0) < 1e-9
+
+        below = conditional_mean_below(z, mog, diag)
+        for p in (p_gen, p_ext):
+            spp = hybrid_spp(p, rho)
+            assert np.all((spp >= 0) & (spp <= 1))
+            assert np.all(mmse_estimate(z, p, rho, below) <= z + 1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nnmm.gauss import SIGMA_FLOOR
-from nnmm.noise import NoiseModel, adapt, init_from_prefix, quiet_noise_model
+from nnmm.noise import NoiseModel, adapt, init_from_prefix
 
 
 class TestInit:
@@ -79,10 +79,3 @@ class TestAdapt:
         with pytest.raises(ValueError, match="SPP"):
             adapt(model, np.zeros(2), np.array([0.5, 1.5]), 0.1)
 
-
-class TestQuietModel:
-    def test_shape_and_floor(self):
-        model = quiet_noise_model(7)
-        assert model.n_bins == 7
-        np.testing.assert_allclose(model.sigma, SIGMA_FLOOR)
-        assert np.all(model.mu < -20)
