@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal import get_window
 
@@ -107,10 +108,9 @@ def stft(w: Waveform, frame_length: int = 512) -> ComplexSpectrogram:
     tail = pad + (-(len(x) + 2 * pad - frame_length)) % hop
     xp = np.concatenate([np.zeros(pad), x, np.zeros(tail)])
 
-    n = (len(xp) - frame_length) // hop + 1
     win = analysis_window(frame_length)
-    idx = np.arange(frame_length)[None, :] + hop * np.arange(n)[:, None]
-    frames = np.fft.rfft(xp[idx] * win, axis=1)
+    windows = sliding_window_view(xp, frame_length)[::hop]
+    frames = np.fft.rfft(windows * win, axis=1)
     return ComplexSpectrogram(frames=frames, frame_length=frame_length, hop=hop)
 
 
@@ -123,14 +123,24 @@ def istft(s: ComplexSpectrogram) -> np.ndarray:
     """
     if s.n_frames == 0:
         raise ValueError("empty spectrogram")
-    L, hop = s.frame_length, s.hop
+    L, hop, n = s.frame_length, s.hop, s.n_frames
     win = analysis_window(L)
-    out = np.zeros((s.n_frames - 1) * hop + L)
-    wsum = np.zeros_like(out)
     segs = np.fft.irfft(s.frames, n=L, axis=1) * win
-    for i in range(s.n_frames):
-        out[i * hop : i * hop + L] += segs[i]
-        wsum[i * hop : i * hop + L] += win * win
+    power = win * win
+    # Rows are hop-long output blocks; frame i covers blocks i .. i+overlap-1.
+    overlap = -(-L // hop)
+    out = np.zeros((n + overlap - 1, hop))
+    wsum = np.zeros_like(out)
+    # One strided add per block offset j, adds frame i's part j to block i+j.
+    # Offsets run from last to first so every block sums its frames in
+    # ascending frame order, the order a frame-by-frame loop adds them in.
+    for j in reversed(range(overlap)):
+        cols = slice(j * hop, min((j + 1) * hop, L))
+        width = cols.stop - cols.start
+        out[j:j + n, :width] += segs[:, cols]
+        wsum[j:j + n, :width] += power[cols]
+    out = out.ravel()[:(n - 1) * hop + L]
+    wsum = wsum.ravel()[:(n - 1) * hop + L]
     good = wsum > 1e-10
     out[good] /= wsum[good]
     return out
@@ -150,9 +160,12 @@ def reconstruct_frame(xhat: np.ndarray, noisy_frame: np.ndarray) -> np.ndarray:
     if xhat.shape != noisy_frame.shape:
         raise ValueError("log-magnitude and frame lengths differ")
     mag = np.abs(noisy_frame)
-    out = np.zeros_like(noisy_frame)
     nz = mag > 0
-    out[nz] = np.exp(xhat[nz]) * noisy_frame[nz] / mag[nz]
+    # exp(xhat) * frame / mag, in place so a whole utterance of frames needs
+    # few temporaries.
+    out = noisy_frame * np.exp(xhat)
+    np.divide(out, mag, out=out, where=nz)
+    out[~nz] = 0.0
     return out
 
 

@@ -1,8 +1,18 @@
 """Per-utterance enhancement: features, posteriors, SPP, subtraction, OLA.
 
-The pipeline is utterance-batch (CMVN statistics need the whole utterance),
-but the frame loop itself runs in time order because the noise model adapts
-recursively.  Two estimator styles are supported:
+Only the noise estimate is recursive, so an utterance runs in three parts:
+
+* a precompute over all frames that does not depend on noise: STFT and
+  log-spectra, MFCC features and the classifier's posteriors in one batched
+  forward pass, and, a block of ``SPEECH_BLOCK`` frames at a time, the
+  speech side of the max model (and, for the MMSE estimator, the truncated
+  means);
+* the recursion, in time order: per frame only the noise side of the
+  dominance, the generative posterior where the mode uses it, the SPP (and
+  the MMSE estimate), and the SPP-gated noise update;
+* soft subtraction, reconstruction and overlap-add over all frames at once.
+
+Two estimator styles are supported:
 
 * soft spectral subtraction driven by the per-bin speech presence
   probability (the default), and
@@ -34,6 +44,7 @@ from .mixmax import (
     mmse_estimate,
     soft_subtract,
     speech_dominance,
+    speech_terms,
 )
 from .mog import PhonemeMog
 from .nn import NnClassifier, forward
@@ -41,6 +52,12 @@ from .noise import NoiseModel, adapt, init_from_prefix
 
 ESTIMATORS = ("soft-subtraction", "mixmax-mmse")
 POSTERIOR_SOURCES = ("nn", "generative")
+
+# Frames whose speech-side terms are formed together.  Each block holds a few
+# (SPEECH_BLOCK, m, K) arrays, so memory does not grow with the utterance;
+# 16 frames already amortize the per-call overhead, and larger blocks only
+# raise peak memory.
+SPEECH_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,29 @@ def noise_prefix_frames(logspecs: np.ndarray, sample_rate: int, cfg: EnhancerCon
     return logspecs[lead:lead + n_prefix]
 
 
+def _nn_posteriors(
+    spec: ComplexSpectrogram,
+    sample_rate: int,
+    mog: PhonemeMog,
+    net: NnClassifier | None,
+) -> np.ndarray:
+    """The classifier's component posteriors for every frame, shape (N, m).
+
+    The feature matrix is dropped on return, so the frame loop does not
+    hold it.
+    """
+    if net is None:
+        raise ValueError("nn posterior source requires a trained classifier")
+    if net.n_classes != mog.n_components:
+        raise ValueError("classifier and mixture disagree on class count")
+    feats = feature_matrix(spec, sample_rate)
+    if net.n_inputs != feats.shape[1]:
+        raise ValueError(
+            f"classifier expects {net.n_inputs}-dim inputs, features are {feats.shape[1]}-dim"
+        )
+    return forward(net, feats)
+
+
 def _run(
     w: Waveform,
     mog: PhonemeMog,
@@ -118,42 +158,38 @@ def _run(
         raise ValueError("mixture model bin count does not match frame length")
     noise = init_from_prefix(noise_prefix_frames(logspecs, w.sample_rate, cfg))
 
-    feats = None
+    posteriors = None
     if cfg.posterior_source == "nn":
-        if net is None:
-            raise ValueError("nn posterior source requires a trained classifier")
-        if net.n_classes != mog.n_components:
-            raise ValueError("classifier and mixture disagree on class count")
-        feats = feature_matrix(spec, w.sample_rate)
-        if net.n_inputs != feats.shape[1]:
-            raise ValueError(
-                f"classifier expects {net.n_inputs}-dim inputs, features are {feats.shape[1]}-dim"
-            )
+        posteriors = _nn_posteriors(spec, w.sample_rate, mog, net)
 
     diag = MixmaxDiagnostics()
-    out = np.empty_like(spec.frames)
-    frame_mean_spp = np.empty(spec.n_frames)
+    mmse = cfg.estimator == "mixmax-mmse"
+    spp = np.empty_like(logspecs)
+    xhat = np.empty_like(logspecs) if mmse else None
 
-    for t in range(spec.n_frames):
-        z = logspecs[t]
-        rho, h = speech_dominance(z, mog, noise, diag)
-        if cfg.posterior_source == "nn":
-            p = forward(net, feats[t])
-        else:
-            p = generative_posterior(h, mog, diag)
+    for first in range(0, spec.n_frames, SPEECH_BLOCK):
+        block = logspecs[first:first + SPEECH_BLOCK]
+        f, big_f = speech_terms(block, mog)
+        if mmse:
+            below = conditional_mean_below(block, mog, diag)
+        for i, z in enumerate(block):
+            t = first + i
+            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, diag)
+            p = posteriors[t] if posteriors is not None else generative_posterior(h, mog, diag)
+            spp[t] = hybrid_spp(p, rho)
+            if mmse:
+                xhat[t] = mmse_estimate(z, p, rho, below[i])
+            if adapt_noise:
+                noise = adapt(noise, z, spp[t], cfg.alpha)
 
-        spp = hybrid_spp(p, rho)
-        frame_mean_spp[t] = spp.mean()
-
-        if cfg.estimator == "soft-subtraction":
-            xhat = soft_subtract(z, spp, cfg.beta)
-        else:
-            xhat = mmse_estimate(z, p, rho, conditional_mean_below(z, mog, diag))
-
-        if adapt_noise:
-            noise = adapt(noise, z, spp, cfg.alpha)
-        out[t] = reconstruct_frame(xhat, spec.frames[t])
-
+    frame_mean_spp = spp.mean(axis=1)
+    if not mmse:
+        xhat = soft_subtract(logspecs, spp, cfg.beta)
+    # Each whole-utterance array is dropped once used, so the temporaries of
+    # reconstruction and overlap-add do not stack on top of it.
+    del spp, logspecs
+    out = reconstruct_frame(xhat, spec.frames)
+    del xhat
     y = istft(ComplexSpectrogram(frames=out, frame_length=cfg.frame_length, hop=spec.hop))
     pad = edge_padding(cfg.frame_length)
     enhanced = Waveform(samples=y[pad:pad + len(w)], sample_rate=w.sample_rate)

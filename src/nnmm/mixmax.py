@@ -13,13 +13,16 @@ mixture) combine into the classic MMSE log-spectral estimator, and the
 dominance probabilities double as per-bin speech presence probabilities for
 soft spectral subtraction.
 
-The per-frame terms are formed in one place: :func:`speech_dominance`
-returns ``(rho, h)``, with ``h`` computed by the same code as
-:func:`max_density`.  :func:`generative_posterior`, :func:`hybrid_spp` and
-:func:`mmse_estimate` take those results instead of recomputing them, and
-the enhancer's frame loop calls exactly these functions, so the quadrature
-and Monte-Carlo checks of this module verify the production path.  All
-functions are pure; models are immutable.
+The density is split by what it depends on.  The speech side, f and F of
+every component at the observation, depends only on the noisy frame:
+:func:`speech_terms` forms it for any number of frames at once.  The noise
+side, g and G, changes as the noise model adapts: :func:`speech_dominance`
+forms it for one frame and combines both sides into ``(rho, h)``, with the
+same code as :func:`max_density`.  :func:`generative_posterior`,
+:func:`hybrid_spp` and :func:`mmse_estimate` take those results instead of
+recomputing them, and the enhancer calls exactly these functions, so the
+quadrature and Monte-Carlo checks of this module verify the production
+path.  All functions are pure; models are immutable.
 """
 
 from __future__ import annotations
@@ -58,37 +61,52 @@ class MixmaxDiagnostics:
 # elementwise max-of-Gaussians density
 # ---------------------------------------------------------------------------
 
-def _max_terms(z, mu_x, sigma_x, mu_y, sigma_y):
-    """The two terms of the max density, f(z) G(z) and F(z) g(z)."""
-    f = gaussian_pdf(z, mu_x, sigma_x)
-    big_f = gaussian_cdf(z, mu_x, sigma_x)
-    g = gaussian_pdf(z, mu_y, sigma_y)
-    big_g = gaussian_cdf(z, mu_y, sigma_y)
+def _pdf_cdf(z, mu, sigma):
+    """Gaussian density and CDF at ``z``; broadcasts freely."""
+    return gaussian_pdf(z, mu, sigma), gaussian_cdf(z, mu, sigma)
+
+
+def _max_terms(speech, z, mu_y, sigma_y):
+    """The two terms of the max density, f(z) G(z) and F(z) g(z).
+
+    ``speech`` is the pair (f, F) from :func:`_pdf_cdf` on the speech side.
+    """
+    f, big_f = speech
+    g, big_g = _pdf_cdf(z, mu_y, sigma_y)
     return f * big_g, big_f * g
 
 
 def max_density(z, mu_x, sigma_x, mu_y, sigma_y):
     """Density of max(X, Y) for independent Gaussians; broadcasts freely."""
-    speech, noise = _max_terms(z, mu_x, sigma_x, mu_y, sigma_y)
+    speech, noise = _max_terms(_pdf_cdf(z, mu_x, sigma_x), z, mu_y, sigma_y)
     return speech + noise
+
+
+def speech_terms(z: np.ndarray, mog: PhonemeMog) -> tuple[np.ndarray, np.ndarray]:
+    """Speech-side density f and CDF F at the observation, per component.
+
+    ``z`` is one log-spectrum (K,) or a stack of them (..., K); both results
+    have shape (..., m, K).  Nothing here depends on the noise model.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    return _pdf_cdf(z[..., np.newaxis, :], mog.means, mog.stds)
 
 
 def speech_dominance(
     z: np.ndarray,
-    mog: PhonemeMog,
+    speech: tuple[np.ndarray, np.ndarray],
     noise: NoiseModel,
     diag: MixmaxDiagnostics | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(speech exceeds noise | observation, component) and the max density.
 
-    Returns ``(rho, h)``, both of shape (m, K): ``h`` is :func:`max_density`
-    for every component and bin, the one place the per-frame densities are
-    formed.  Bins where ``h`` itself underflows carry no information either
-    way; their ``rho`` comes back as 0.5 and is counted in ``diag``.
+    ``speech`` is :func:`speech_terms` of the same frame ``z``.  Returns
+    ``(rho, h)``, both of shape (m, K): ``h`` is :func:`max_density` for
+    every component and bin, the one place the per-frame densities are
+    combined.  Bins where ``h`` itself underflows carry no information
+    either way; their ``rho`` comes back as 0.5 and is counted in ``diag``.
     """
-    z = np.asarray(z, dtype=np.float64)
-    numer, rest = _max_terms(z[np.newaxis, :], mog.means, mog.stds,
-                             noise.mu[np.newaxis, :], noise.sigma[np.newaxis, :])
+    numer, rest = _max_terms(speech, np.asarray(z, dtype=np.float64), noise.mu, noise.sigma)
     h = numer + rest
     undecidable = h < DENSITY_FLOOR
     if diag is not None:
@@ -126,15 +144,16 @@ def conditional_mean_below(
     mog: PhonemeMog,
     diag: MixmaxDiagnostics | None = None,
 ) -> np.ndarray:
-    """E[X_k | X_k < z_k, component i] for all i, k; shape (m, K).
+    """E[X_k | X_k < z_k, component i] for all i, k; shape (..., m, K).
 
-    The inverse Mills ratio f/F is evaluated as exp(log f − log F) so the
-    deep lower tail stays finite.  Once F itself drops below the density
-    floor the asymptote z − σ is used instead (counted in ``diag``); either
-    way the result sits strictly below z.
+    ``z`` is one log-spectrum (K,) or a stack of them (..., K).  The
+    inverse Mills ratio f/F is evaluated as exp(log f − log F) so the deep
+    lower tail stays finite.  Once F itself drops below the density floor
+    the asymptote z − σ is used instead (counted in ``diag``); either way
+    the result sits strictly below z.
     """
-    z = np.asarray(z, dtype=np.float64)
-    a = (z[np.newaxis, :] - mog.means) / mog.stds
+    z = np.asarray(z, dtype=np.float64)[..., np.newaxis, :]
+    a = (z - mog.means) / mog.stds
     log_cdf = log_ndtr(a)
     # log of the standard normal pdf at a, shifted by -log sigma for the
     # actual density; the sigma^2 * f/F term then reduces to sigma * ratio.
@@ -146,14 +165,14 @@ def conditional_mean_below(
     fallback = (log_cdf < LOG_DENSITY_FLOOR) | ~np.isfinite(mean)
     if diag is not None:
         diag.tail_fallbacks += int(np.count_nonzero(fallback))
-    return np.where(fallback, z[np.newaxis, :] - mog.stds, mean)
+    return np.where(fallback, z - mog.stds, mean)
 
 
 def _check_posterior(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (rho.shape[0],):
         raise ValueError("posterior length must match component count")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("posterior must be a probability vector")
     return p
 

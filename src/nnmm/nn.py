@@ -81,7 +81,8 @@ def _with_bias(x: np.ndarray) -> np.ndarray:
 def _forward_arrays(w1, w2, v):
     """Posterior plus the intermediates backprop needs; v is (N, D)."""
     vb = _with_bias(v)                          # (N, D+1)
-    h = expit(vb @ w1.T)                        # (N, H)
+    h = vb @ w1.T                               # (N, H)
+    expit(h, out=h)                             # in place: one (N, H) array
     hb = _with_bias(h)                          # (N, H+1)
     logits = hb @ w2.T
     logits -= np.max(logits, axis=-1, keepdims=True)

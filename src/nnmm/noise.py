@@ -28,9 +28,9 @@ class NoiseModel:
         object.__setattr__(self, "sigma", sigma)
         if mu.shape != sigma.shape or mu.ndim != 1:
             raise ValueError("mu and sigma must be 1-D and equal length")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise ValueError("noise parameters must be finite")
-        if np.any(sigma < SIGMA_FLOOR):
+        if (sigma < SIGMA_FLOOR).any():
             raise ValueError(f"sigma must be >= {SIGMA_FLOOR}")
 
     @property
@@ -62,7 +62,7 @@ def adapt(model: NoiseModel, z: np.ndarray, spp: np.ndarray, alpha: float) -> No
         raise ValueError("frame, SPP and model lengths differ")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if np.any(rho < 0) or np.any(rho > 1):
+    if not (rho.min() >= 0 and rho.max() <= 1):  # NaN fails both
         raise ValueError("SPP values must lie in [0, 1]")
 
     mu_new = rho * model.mu + (1.0 - rho) * (alpha * z + (1.0 - alpha) * model.mu)

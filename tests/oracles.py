@@ -1,12 +1,39 @@
-"""Independent reference computations used to verify closed forms.
+"""Independent reference computations used to verify closed forms, and the
+plain frame-by-frame pipeline the batched code paths must reproduce.
 
-Nothing here imports the library's math under test: integration goes
-through scipy's Simpson rule and the conditional expectations come from
-plain rejection sampling, so agreement is meaningful evidence.
+The closed-form references import none of the library's math under test:
+integration goes through scipy's Simpson rule and the conditional
+expectations come from plain rejection sampling, so agreement is meaningful
+evidence.  The pipeline references (:func:`stft_by_gather`,
+:func:`istft_by_frame`, :func:`enhance_by_frame`) do the same work one frame
+at a time, in the order a per-frame loop does it, so a batched path that
+keeps the arithmetic must agree with them bit for bit.
 """
 
 import numpy as np
 from scipy.integrate import simpson
+
+from nnmm.dsp import (
+    ComplexSpectrogram,
+    analysis_window,
+    edge_padding,
+    log_spectra,
+    reconstruct_frame,
+)
+from nnmm.enhancer import EnhancementReport, noise_prefix_frames
+from nnmm.features import feature_matrix
+from nnmm.mixmax import (
+    MixmaxDiagnostics,
+    conditional_mean_below,
+    generative_posterior,
+    hybrid_spp,
+    mmse_estimate,
+    soft_subtract,
+    speech_dominance,
+    speech_terms,
+)
+from nnmm.nn import forward
+from nnmm.noise import adapt, init_from_prefix
 
 
 def density_integral(fn, lo, hi, n_points=8193):
@@ -72,3 +99,77 @@ def mc_truncated_mean(rng, n_samples, mu, sigma, z):
     if len(xk) < 2:
         raise RuntimeError("truncation kept too few samples")
     return float(np.mean(xk)), float(np.std(xk, ddof=1) / np.sqrt(len(xk)))
+
+
+def stft_by_gather(w, frame_length=512):
+    """``dsp.stft`` with the frames gathered by an explicit index array."""
+    x = w.samples
+    hop = frame_length // 4
+    pad = edge_padding(frame_length)
+    tail = pad + (-(len(x) + 2 * pad - frame_length)) % hop
+    xp = np.concatenate([np.zeros(pad), x, np.zeros(tail)])
+
+    n = (len(xp) - frame_length) // hop + 1
+    win = analysis_window(frame_length)
+    idx = np.arange(frame_length)[None, :] + hop * np.arange(n)[:, None]
+    frames = np.fft.rfft(xp[idx] * win, axis=1)
+    return ComplexSpectrogram(frames=frames, frame_length=frame_length, hop=hop)
+
+
+def istft_by_frame(s):
+    """``dsp.istft`` with the overlap-add done one frame at a time."""
+    L, hop = s.frame_length, s.hop
+    win = analysis_window(L)
+    out = np.zeros((s.n_frames - 1) * hop + L)
+    wsum = np.zeros_like(out)
+    segs = np.fft.irfft(s.frames, n=L, axis=1) * win
+    for i in range(s.n_frames):
+        out[i * hop : i * hop + L] += segs[i]
+        wsum[i * hop : i * hop + L] += win * win
+    good = wsum > 1e-10
+    out[good] /= wsum[good]
+    return out
+
+
+def enhance_by_frame(w, mog, net, cfg, adapt_noise):
+    """The enhancer with every step inside one frame loop: per-frame NN
+    forward, speech and noise sides, SPP, estimate, adaptation and
+    reconstruction.  Returns ``(samples, EnhancementReport)``."""
+    spec = stft_by_gather(w, cfg.frame_length)
+    logspecs = log_spectra(spec)
+    noise = init_from_prefix(noise_prefix_frames(logspecs, w.sample_rate, cfg))
+    feats = feature_matrix(spec, w.sample_rate) if cfg.posterior_source == "nn" else None
+
+    diag = MixmaxDiagnostics()
+    out = np.empty_like(spec.frames)
+    frame_mean_spp = np.empty(spec.n_frames)
+
+    for t in range(spec.n_frames):
+        z = logspecs[t]
+        rho, h = speech_dominance(z, speech_terms(z, mog), noise, diag)
+        if cfg.posterior_source == "nn":
+            p = forward(net, feats[t])
+        else:
+            p = generative_posterior(h, mog, diag)
+
+        spp = hybrid_spp(p, rho)
+        frame_mean_spp[t] = spp.mean()
+
+        if cfg.estimator == "soft-subtraction":
+            xhat = soft_subtract(z, spp, cfg.beta)
+        else:
+            xhat = mmse_estimate(z, p, rho, conditional_mean_below(z, mog, diag))
+
+        if adapt_noise:
+            noise = adapt(noise, z, spp, cfg.alpha)
+        out[t] = reconstruct_frame(xhat, spec.frames[t])
+
+    y = istft_by_frame(ComplexSpectrogram(frames=out, frame_length=cfg.frame_length, hop=spec.hop))
+    pad = edge_padding(cfg.frame_length)
+    report = EnhancementReport(
+        frames_processed=spec.n_frames,
+        frame_mean_spp=frame_mean_spp,
+        diagnostics=diag,
+        noise=noise,
+    )
+    return y[pad:pad + len(w)], report

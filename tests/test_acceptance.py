@@ -31,6 +31,7 @@ from nnmm.mixmax import (
     max_density,
     mmse_estimate,
     speech_dominance,
+    speech_terms,
 )
 from nnmm.mog import PhonemeMog, classify_frames, train_supervised
 from nnmm.nn import classify_accuracy, gradient, init_classifier, log_likelihood, train
@@ -133,7 +134,7 @@ def test_c02_mmse_estimate_matches_monte_carlo(scalar_mc):
     assert scalar_mc["mc_time"] < 60.0
     for z, mc in scalar_mc["records"]:
         zv = np.array([z])
-        rho, h = speech_dominance(zv, mog, noise)
+        rho, h = speech_dominance(zv, speech_terms(zv, mog), noise)
         posterior = generative_posterior(h, mog)
         closed = mmse_estimate(zv, posterior, rho, conditional_mean_below(zv, mog))[0]
         assert mc["n"] > 500, f"window at z={z} too empty for a meaningful SE"
@@ -149,7 +150,7 @@ def test_c03_speech_dominance_matches_monte_carlo(scalar_mc):
     assert scalar_mc["mc_time"] < 60.0
     for z, mc in scalar_mc["records"]:
         zv = np.array([z])
-        rho, h = speech_dominance(zv, mog, noise)
+        rho, h = speech_dominance(zv, speech_terms(zv, mog), noise)
         posterior = generative_posterior(h, mog)
         closed = float(hybrid_spp(posterior, rho)[0])
         assert abs(closed - mc["p_dominance"]) < 3 * mc["p_se"], (

@@ -17,6 +17,8 @@ from nnmm.dsp import (
     write_wav,
 )
 
+from oracles import istft_by_frame, stft_by_gather
+
 
 # ---------------------------------------------------------------------------
 # Waveform / window basics
@@ -91,6 +93,35 @@ class TestRoundTrip:
         assert s.n_bins == 257
         assert s.hop == 128
         assert s.frames.dtype == np.complex128
+
+
+class TestAgainstFrameLoops:
+    """The strided framing and overlap-add keep the arithmetic of the
+    index-gather and frame-by-frame references, so results are bit-equal."""
+
+    # (frame_length, samples): the one-frame minimum, lengths on and off the
+    # hop grid, and a frame length that is not a multiple of 4 (5 overlaps).
+    CASES = [(512, 512), (512, 640), (512, 1000), (512, 16000 + 37),
+             (256, 4097), (10, 10), (10, 57)]
+
+    @pytest.mark.parametrize("frame_length,n", CASES)
+    def test_stft_and_istft_bit_equal(self, frame_length, n):
+        rng = np.random.default_rng(n)
+        w = Waveform(samples=rng.standard_normal(n), sample_rate=16000)
+        s = stft(w, frame_length)
+        np.testing.assert_array_equal(s.frames, stft_by_gather(w, frame_length).frames)
+        np.testing.assert_array_equal(istft(s), istft_by_frame(s))
+
+    def test_reconstruct_stack_matches_masked_formula(self):
+        rng = np.random.default_rng(7)
+        fr = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+        fr[2, :4] = 0.0
+        xhat = rng.normal(0, 1, fr.shape)
+        mag = np.abs(fr)
+        nz = mag > 0
+        expect = np.zeros_like(fr)
+        expect[nz] = np.exp(xhat[nz]) * fr[nz] / mag[nz]
+        np.testing.assert_array_equal(reconstruct_frame(xhat, fr), expect)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,13 @@ from nnmm.mixmax import (
     mmse_estimate,
     soft_subtract,
     speech_dominance,
+    speech_terms,
 )
 from nnmm.mog import train_supervised
 from nnmm.nn import forward, train
 from nnmm.noise import adapt, init_from_prefix
+
+from oracles import enhance_by_frame
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,14 @@ def setup():
     )
     noisy = mix_at_snr(padded, white_noise(len(padded), 16000, seed=5), 5.0)
     return mog, net, padded, noisy
+
+
+def with_silence_gap(noisy):
+    """A copy with 2000 samples of digital silence, where the max density
+    underflows in some bins and the tail fallback triggers."""
+    samples = noisy.samples.copy()
+    samples[12000:14000] = 0.0
+    return Waveform(samples=samples, sample_rate=noisy.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +192,13 @@ class TestComposition:
 
         manual = np.empty_like(logs)
         for t in range(spec.n_frames):
-            rho, h = speech_dominance(logs[t], mog, noise)
+            rho, h = speech_dominance(logs[t], speech_terms(logs[t], mog), noise)
             p = generative_posterior(h, mog)
             manual[t] = mmse_estimate(logs[t], p, rho, conditional_mean_below(logs[t], mog))
 
         # spot-check one frame against the closed form written out
         t = spec.n_frames // 2
-        rho, h = speech_dominance(logs[t], mog, noise)
+        rho, h = speech_dominance(logs[t], speech_terms(logs[t], mog), noise)
         p = generative_posterior(h, mog)
         below = conditional_mean_below(logs[t], mog)
         expect = p @ (rho * logs[t][np.newaxis, :] + (1.0 - rho) * below)
@@ -212,9 +223,7 @@ class TestComposition:
         bins, so the fallback counters have something to count.
         """
         mog, net, _, noisy = setup
-        samples = noisy.samples.copy()
-        samples[12000:14000] = 0.0
-        noisy = Waveform(samples=samples, sample_rate=noisy.sample_rate)
+        noisy = with_silence_gap(noisy)
         cfg = EnhancerConfig(posterior_source=posterior_source)
         spec = stft(noisy, 512)
         logs = log_spectra(spec)
@@ -225,7 +234,7 @@ class TestComposition:
         mean_spp = np.empty(spec.n_frames)
         for t in range(spec.n_frames):
             z = logs[t]
-            rho, h = speech_dominance(z, mog, noise, diag)
+            rho, h = speech_dominance(z, speech_terms(z, mog), noise, diag)
             if posterior_source == "nn":
                 p = forward(net, feats[t])
             else:
@@ -249,6 +258,72 @@ class TestComposition:
 
     def test_full_loop_replication_generative(self, setup):
         self.replay_full_loop(setup, "generative")
+
+
+# ---------------------------------------------------------------------------
+# Hoisted precompute against the frame-by-frame loop
+# ---------------------------------------------------------------------------
+
+
+MODES = [(est, src) for est in ("soft-subtraction", "mixmax-mmse")
+         for src in ("nn", "generative")]
+
+
+class TestHoisting:
+    @pytest.mark.parametrize("gap", [False, True], ids=["white", "silence-gap"])
+    @pytest.mark.parametrize("estimator,posterior_source", MODES)
+    def test_matches_frame_loop(self, setup, estimator, posterior_source, gap):
+        """Batched NN forward, blockwise speech side and batched subtraction
+        and reconstruction reproduce the per-frame loop.  Only the batched
+        forward may round differently, so without the NN the samples match
+        exactly."""
+        mog, net, _, noisy = setup
+        if gap:
+            noisy = with_silence_gap(noisy)
+        cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
+        expected, ref = enhance_by_frame(noisy, mog, net, cfg, adapt_noise=True)
+        out, report = enhance_utterance(noisy, mog, net, cfg)
+        if posterior_source == "nn":
+            np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(out.samples, expected)
+        np.testing.assert_allclose(report.frame_mean_spp, ref.frame_mean_spp, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(report.noise.mu, ref.noise.mu, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(report.noise.sigma, ref.noise.sigma, rtol=0, atol=1e-14)
+        assert report.diagnostics == ref.diagnostics
+        assert report.frames_processed == ref.frames_processed
+        if gap:
+            assert report.diagnostics.undecidable_bins > 0
+
+    @pytest.mark.parametrize("gap", [False, True], ids=["white", "silence-gap"])
+    def test_reference_mode_matches_frame_loop(self, setup, gap):
+        mog, _, _, noisy = setup
+        if gap:
+            noisy = with_silence_gap(noisy)
+        cfg = EnhancerConfig(estimator="mixmax-mmse", posterior_source="generative")
+        expected, _ = enhance_by_frame(noisy, mog, None, cfg, adapt_noise=False)
+        np.testing.assert_array_equal(
+            enhance_mixmax_original(noisy, mog, EnhancerConfig()).samples, expected)
+
+    def test_noise_independent_work_runs_once(self, setup, monkeypatch):
+        """One utterance: one NN forward, one subtraction and one
+        reconstruction over all frames; dominance and adaptation per frame."""
+        import nnmm.enhancer as enhancer
+
+        mog, net, _, noisy = setup
+        calls = {}
+        for name in ("forward", "reconstruct_frame", "soft_subtract",
+                     "speech_dominance", "adapt"):
+            def counted(*args, _fn=getattr(enhancer, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(enhancer, name, counted)
+
+        _, report = enhance_utterance(noisy, mog, net, EnhancerConfig())
+        n = report.frames_processed
+        assert n > enhancer.SPEECH_BLOCK  # more than one block of frames
+        assert calls == {"forward": 1, "reconstruct_frame": 1, "soft_subtract": 1,
+                         "speech_dominance": n, "adapt": n}
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The closed forms are checked three independent ways: Simpson quadrature for
 density normalization, finite differences of the product CDF for the density
 formula, and rejection sampling for the conditional expectations.  The
-estimators are driven the way the enhancer drives them: ``speech_dominance``
-forms ``(rho, h)`` once and the posterior, SPP and MMSE estimate reuse it.
+estimators are driven the way the enhancer drives them: ``speech_terms``
+forms the speech side, ``speech_dominance`` adds the noise side and forms
+``(rho, h)`` once, and the posterior, SPP and MMSE estimate reuse it.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from nnmm.mixmax import (
     mmse_estimate,
     soft_subtract,
     speech_dominance,
+    speech_terms,
 )
 from nnmm.mog import PhonemeMog
 from nnmm.noise import NoiseModel
@@ -42,15 +44,20 @@ def noise_of(mu, sigma):
                       sigma=np.atleast_1d(np.asarray(sigma, dtype=float)))
 
 
+def dominance(z, mog, noise, diag=None):
+    """speech_dominance of one frame, with its speech side formed first."""
+    return speech_dominance(z, speech_terms(z, mog), noise, diag)
+
+
 def posterior_at(z, mog, noise, diag=None):
     """Generative posterior from the density that speech_dominance forms."""
-    _, h = speech_dominance(z, mog, noise)
+    _, h = dominance(z, mog, noise)
     return generative_posterior(h, mog, diag)
 
 
 def mmse_at(z, p, mog, noise):
     """MMSE estimate from the per-frame terms, as the enhancer forms them."""
-    rho, _ = speech_dominance(z, mog, noise)
+    rho, _ = dominance(z, mog, noise)
     return mmse_estimate(z, p, rho, conditional_mean_below(z, mog))
 
 
@@ -125,13 +132,32 @@ class TestMaxDensity:
                          means=rng.normal(0, 1, (2, 4)), stds=rng.uniform(0.5, 1.5, (2, 4)))
         noise = noise_of(rng.normal(0, 1, 4), rng.uniform(0.5, 1.5, 4))
         z = rng.normal(0, 1, 4)
-        _, h = speech_dominance(z, mog, noise)
+        _, h = dominance(z, mog, noise)
         assert h.shape == (2, 4)
         np.testing.assert_array_equal(
             h, max_density(z, mog.means, mog.stds, noise.mu, noise.sigma))
         joint = mog.weights * np.prod(h, axis=1)
         np.testing.assert_allclose(generative_posterior(h, mog), joint / joint.sum(),
                                    rtol=1e-12)
+
+    def test_frame_stack_matches_single_frames(self):
+        """The speech side and the truncated mean of a stack of frames equal
+        the per-frame results row by row, fallback counts included."""
+        rng = np.random.default_rng(8)
+        mog = PhonemeMog(weights=np.array([0.2, 0.3, 0.5]),
+                         means=rng.normal(0, 1, (3, 5)), stds=rng.uniform(0.5, 1.5, (3, 5)))
+        zs = rng.normal(0, 2, (4, 5))
+        zs[2, 1] = -60.0  # deep lower tail: conditional_mean_below falls back
+        f, big_f = speech_terms(zs, mog)
+        stack_diag, frame_diag = MixmaxDiagnostics(), MixmaxDiagnostics()
+        below = conditional_mean_below(zs, mog, stack_diag)
+        assert f.shape == big_f.shape == below.shape == (4, 3, 5)
+        for t, z in enumerate(zs):
+            f_t, big_f_t = speech_terms(z, mog)
+            np.testing.assert_array_equal(f[t], f_t)
+            np.testing.assert_array_equal(big_f[t], big_f_t)
+            np.testing.assert_array_equal(below[t], conditional_mean_below(z, mog, frame_diag))
+        assert stack_diag == frame_diag and frame_diag.tail_fallbacks > 0
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +216,19 @@ class TestSpeechDominance:
     def test_identical_distributions_are_coin_flips(self):
         mog = single_mog(np.zeros(5), np.ones(5))
         noise = noise_of(np.zeros(5), np.ones(5))
-        rho, _ = speech_dominance(np.linspace(-2, 2, 5), mog, noise)
+        rho, _ = dominance(np.linspace(-2, 2, 5), mog, noise)
         np.testing.assert_allclose(rho, 0.5, rtol=1e-12)
 
     def test_speech_far_above_noise_dominates(self):
         mog = single_mog([0.0], [1.0])
         noise = noise_of([-30.0], [1.0])
-        rho, _ = speech_dominance(np.array([0.5]), mog, noise)
+        rho, _ = dominance(np.array([0.5]), mog, noise)
         np.testing.assert_allclose(rho, 1.0, atol=1e-12)
 
     def test_noise_far_above_speech_dominates(self):
         mog = single_mog([-30.0], [1.0])
         noise = noise_of([0.0], [1.0])
-        rho, _ = speech_dominance(np.array([0.5]), mog, noise)
+        rho, _ = dominance(np.array([0.5]), mog, noise)
         np.testing.assert_allclose(rho, 0.0, atol=1e-12)
 
     def test_monte_carlo_rejection_oracle(self):
@@ -212,7 +238,7 @@ class TestSpeechDominance:
         noise = noise_of([0.0], [0.9])
         for z in [-0.5, 0.5, 1.5, 2.5]:
             est = mc_max_window(rng, 400_000, 1.0, 1.2, 0.0, 0.9, z, 0.02)
-            rho = speech_dominance(np.array([z]), mog, noise)[0][0, 0]
+            rho = dominance(np.array([z]), mog, noise)[0][0, 0]
             assert abs(rho - est["p_dominance"]) < 3 * est["p_se"], (
                 f"z={z}: closed {rho:.4f} vs mc {est['p_dominance']:.4f}"
             )
@@ -222,7 +248,7 @@ class TestSpeechDominance:
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
         diag = MixmaxDiagnostics()
-        rho, _ = speech_dominance(np.array([60.0]), mog, noise, diag)
+        rho, _ = dominance(np.array([60.0]), mog, noise, diag)
         assert rho[0, 0] == 0.5
         assert diag.undecidable_bins == 1
 
@@ -233,7 +259,7 @@ class TestSpeechDominance:
                          stds=rng.uniform(0.3, 2, (2, 6)))
         noise = noise_of(rng.normal(0, 3, 6), rng.uniform(0.3, 2, 6))
         for _ in range(20):
-            rho, _ = speech_dominance(rng.normal(0, 5, 6), mog, noise)
+            rho, _ = dominance(rng.normal(0, 5, 6), mog, noise)
             assert np.all(rho >= 0) and np.all(rho <= 1)
 
 
@@ -311,7 +337,7 @@ class TestMmse:
                          stds=rng.uniform(0.5, 1.5, (2, 5)))
         noise = noise_of(rng.normal(0, 1, 5), rng.uniform(0.5, 1.5, 5))
         z = rng.normal(0, 2, 5)
-        rho, _ = speech_dominance(z, mog, noise)
+        rho, _ = dominance(z, mog, noise)
         below = conditional_mean_below(z, mog)
         expected = rho[1] * z + (1 - rho[1]) * below[1]
         out = mmse_estimate(z, np.array([0.0, 1.0]), rho, below)
@@ -342,7 +368,7 @@ class TestMmse:
     def test_bad_posterior_rejected(self):
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
-        rho, _ = speech_dominance(np.zeros(1), mog, noise)
+        rho, _ = dominance(np.zeros(1), mog, noise)
         below = conditional_mean_below(np.zeros(1), mog)
         with pytest.raises(ValueError, match="probability"):
             mmse_estimate(np.zeros(1), np.array([0.4]), rho, below)
@@ -358,7 +384,7 @@ class TestHybridSpp:
         mog = PhonemeMog(weights=np.array([0.5, 0.5]),
                          means=np.zeros((2, 3)), stds=np.ones((2, 3)))
         noise = noise_of(np.full(3, -35.0), np.ones(3))
-        rho, _ = speech_dominance(np.zeros(3), mog, noise)
+        rho, _ = dominance(np.zeros(3), mog, noise)
         spp = hybrid_spp(np.array([0.3, 0.7]), rho)
         np.testing.assert_allclose(spp, 1.0, atol=1e-12)
 
@@ -369,7 +395,7 @@ class TestHybridSpp:
                          stds=rng.uniform(0.5, 1.5, (2, 4)))
         noise = noise_of(rng.normal(0, 1, 4), rng.uniform(0.5, 1.5, 4))
         z = rng.normal(0, 2, 4)
-        rho, _ = speech_dominance(z, mog, noise)
+        rho, _ = dominance(z, mog, noise)
         np.testing.assert_allclose(hybrid_spp(np.array([1.0, 0.0]), rho), rho[0], rtol=1e-12)
 
     def test_matches_naive_double_loop(self):
@@ -382,7 +408,7 @@ class TestHybridSpp:
         z = rng.normal(0, 2, k)
         p = rng.dirichlet(np.ones(m))
 
-        rho, _ = speech_dominance(z, mog, noise)
+        rho, _ = dominance(z, mog, noise)
         naive = np.zeros(k)
         for kk in range(k):
             for i in range(m):
@@ -395,6 +421,13 @@ class TestHybridSpp:
             hybrid_spp(np.array([1.0]), rho)
         with pytest.raises(ValueError, match="probability"):
             hybrid_spp(np.array([0.7, 0.7]), rho)
+
+    def test_nan_posterior_rejected(self):
+        """NaN compares False both ways, so it must fail the check, not pass
+        it and turn every SPP bin into NaN."""
+        rho = np.full((3, 4), 0.5)
+        with pytest.raises(ValueError, match="probability"):
+            hybrid_spp(np.array([np.nan, 0.5, 0.5]), rho)
 
 
 class TestSoftSubtract:
@@ -461,7 +494,7 @@ class TestKernelProperties:
     def test_per_frame_invariants(self, case):
         mog, noise, z, p_ext = case
         diag = MixmaxDiagnostics()
-        rho, h = speech_dominance(z, mog, noise, diag)
+        rho, h = dominance(z, mog, noise, diag)
         assert np.all((rho >= 0) & (rho <= 1))
         np.testing.assert_array_equal(
             h, max_density(z, mog.means, mog.stds, noise.mu, noise.sigma))

@@ -79,3 +79,8 @@ class TestAdapt:
         with pytest.raises(ValueError, match="SPP"):
             adapt(model, np.zeros(2), np.array([0.5, 1.5]), 0.1)
 
+    def test_nan_spp_rejected(self):
+        """A NaN SPP is reported as such, not later as non-finite noise."""
+        model = NoiseModel(mu=np.zeros(2), sigma=np.ones(2))
+        with pytest.raises(ValueError, match="SPP"):
+            adapt(model, np.zeros(2), np.array([0.5, np.nan]), 0.1)
