@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -55,7 +56,11 @@ class _Parser(argparse.ArgumentParser):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = ("frame_length", "beta", "alpha", "noise_prefix", "estimator", "posterior_source")
+# Every enhancer setting but the frame length, which the model bundle fixes,
+# with the type of its default.  Flags and config-file keys use these names.
+CONFIG_TYPES = {
+    f.name: type(f.default) for f in fields(EnhancerConfig) if f.name != "frame_length"
+}
 
 
 def parse_config_file(path: str) -> dict:
@@ -74,43 +79,24 @@ def parse_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected <key>=<value>")
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_TYPES:
             raise UsageError(
-                f"{path}:{lineno}: unknown key {key!r} (expected one of {CONFIG_KEYS})"
+                f"{path}:{lineno}: unknown key {key!r} (expected one of {tuple(CONFIG_TYPES)})"
             )
         values[key] = value
     return values
 
 
-def build_enhancer_config(args, frame_length: int | None = None) -> EnhancerConfig:
-    """Merge defaults < config file < explicit flags into an EnhancerConfig."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(parse_config_file(args.config))
-    for key, flag in (
-        ("frame_length", "frame_length"),
-        ("beta", "beta"),
-        ("alpha", "alpha"),
-        ("noise_prefix", "noise_prefix"),
-        ("estimator", "estimator"),
-        ("posterior_source", "posterior"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[key] = value
-    if frame_length is not None:
-        if "frame_length" in merged and int(merged["frame_length"]) != frame_length:
-            raise UsageError(
-                f"frame length is fixed at {frame_length} by the model bundle"
-            )
-        merged["frame_length"] = frame_length
+def build_enhancer_config(args, frame_length: int) -> EnhancerConfig:
+    """Merge defaults < config file < explicit flags into an EnhancerConfig
+    with the bundle's frame length."""
+    merged = parse_config_file(args.config) if args.config else {}
+    for key in CONFIG_TYPES:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     try:
-        if "frame_length" in merged:
-            merged["frame_length"] = int(merged["frame_length"])
-        for key in ("beta", "alpha", "noise_prefix"):
-            if key in merged:
-                merged[key] = float(merged[key])
-        return EnhancerConfig(**merged)
+        typed = {key: CONFIG_TYPES[key](value) for key, value in merged.items()}
+        return EnhancerConfig(frame_length=frame_length, **typed)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -121,9 +107,8 @@ def _add_enhancer_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, help="noise adaptation smoothing in (0,1)")
     sub.add_argument("--noise-prefix", type=float, dest="noise_prefix",
                      help="leading noise-only seconds")
-    sub.add_argument("--frame-length", type=int, dest="frame_length", help="STFT frame length")
     sub.add_argument("--estimator", choices=ESTIMATORS)
-    sub.add_argument("--posterior", choices=POSTERIOR_SOURCES,
+    sub.add_argument("--posterior", choices=POSTERIOR_SOURCES, dest="posterior_source",
                      help="component posterior source")
 
 
@@ -155,8 +140,7 @@ def cmd_synth_corpus(args) -> int:
     return 0
 
 
-def _train_mog_common(args, trained_mog, mode: str) -> int:
-    _, meta = load_corpus(args.corpus)
+def _train_mog_common(args, meta: dict, trained_mog, mode: str) -> int:
     bundle = ModelBundle(
         mog=trained_mog,
         net=None,
@@ -178,14 +162,14 @@ def cmd_train_mog(args) -> int:
     utterances, meta = load_corpus(args.corpus)
     logspecs, _, labels = assemble_frames(utterances, meta["frame_length"])
     trained = train_supervised(logspecs, labels, meta["n_classes"])
-    return _train_mog_common(args, trained, "supervised")
+    return _train_mog_common(args, meta, trained, "supervised")
 
 
 def cmd_train_mog_em(args) -> int:
     utterances, meta = load_corpus(args.corpus)
     logspecs, _, _ = assemble_frames(utterances, meta["frame_length"])
     trained = train_em(logspecs, args.components, iterations=args.iterations, seed=args.seed)
-    return _train_mog_common(args, trained, "em")
+    return _train_mog_common(args, meta, trained, "em")
 
 
 def cmd_train_nn(args) -> int:
@@ -284,8 +268,7 @@ def cmd_evaluate(args) -> int:
                 )
                 run += 1
                 enhanced, report = enhance_utterance(noisy, bundle.mog, bundle.net, cfg)
-
-                spec = stft(noisy, bundle.frame_length)
+                predicted = report.posteriors.argmax(axis=1)
                 rows.append({
                     "utterance": f"utt_{u:04d}",
                     "noise": noise_type,
@@ -294,7 +277,7 @@ def cmd_evaluate(args) -> int:
                     "segsnr_out": round(segmental_snr(clean, enhanced), 4),
                     "lsd": round(log_spectral_distance(clean, enhanced, bundle.frame_length), 4),
                     "mean_spp": round(report.mean_spp, 4),
-                    "accuracy": _noisy_accuracy(bundle, spec, utt.frame_labels, clean.sample_rate),
+                    "accuracy": round(float(np.mean(predicted == utt.frame_labels)), 4),
                 })
 
     with open(args.out, "w", newline="") as fh:
@@ -304,15 +287,6 @@ def cmd_evaluate(args) -> int:
     gain = np.mean([r["segsnr_out"] - r["segsnr_in"] for r in rows])
     print(f"{len(rows)} runs; mean segmental SNR gain {gain:+.2f} dB; wrote {args.out}")
     return 0
-
-
-def _noisy_accuracy(bundle: ModelBundle, spec, labels, sample_rate) -> float:
-    """Frame classification accuracy on the noisy signal."""
-    if bundle.net is not None:
-        features = feature_matrix(spec, sample_rate)
-        return round(classify_accuracy(bundle.net, features, labels), 4)
-    predictions = classify_frames(bundle.mog, log_spectra(spec))
-    return round(float(np.mean(predictions == labels)), 4)
 
 
 # ---------------------------------------------------------------------------

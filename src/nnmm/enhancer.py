@@ -98,6 +98,9 @@ class EnhancementReport:
 
     frames_processed: int
     frame_mean_spp: np.ndarray
+    # (N, m): the component posterior that weighted each frame's SPP, the
+    # classifier's or the generative one, as the mode chose.
+    posteriors: np.ndarray
     diagnostics: MixmaxDiagnostics = field(default_factory=MixmaxDiagnostics)
     noise: NoiseModel | None = None
 
@@ -158,8 +161,10 @@ def _run(
         raise ValueError("mixture model bin count does not match frame length")
     noise = init_from_prefix(noise_prefix_frames(logspecs, w.sample_rate, cfg))
 
-    posteriors = None
-    if cfg.posterior_source == "nn":
+    generative = cfg.posterior_source == "generative"
+    if generative:
+        posteriors = np.empty((spec.n_frames, mog.n_components))
+    else:
         posteriors = _nn_posteriors(spec, w.sample_rate, mog, net)
 
     diag = MixmaxDiagnostics()
@@ -175,7 +180,9 @@ def _run(
         for i, z in enumerate(block):
             t = first + i
             rho, h = speech_dominance(z, (f[i], big_f[i]), noise, diag)
-            p = posteriors[t] if posteriors is not None else generative_posterior(h, mog, diag)
+            if generative:
+                posteriors[t] = generative_posterior(h, mog)
+            p = posteriors[t]
             spp[t] = hybrid_spp(p, rho)
             if mmse:
                 xhat[t] = mmse_estimate(z, p, rho, below[i])
@@ -196,6 +203,7 @@ def _run(
     report = EnhancementReport(
         frames_processed=spec.n_frames,
         frame_mean_spp=frame_mean_spp,
+        posteriors=posteriors,
         diagnostics=diag,
         noise=noise,
     )
@@ -211,8 +219,8 @@ def enhance_utterance(
     """Enhance one utterance with SPP gating and online noise adaptation.
 
     Returns the enhanced waveform (same length and rate as the input) and a
-    report with per-frame mean SPP, fallback counters, and the final noise
-    model.
+    report with per-frame mean SPP and component posteriors, fallback
+    counters, and the final noise model.
     """
     return _run(w, mog, net, cfg, adapt_noise=True)
 

@@ -21,16 +21,11 @@ DENSITY_FLOOR = 1e-300
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def gaussian_pdf(x, mu, sigma):
-    """Gaussian density at ``x`` for mean ``mu`` and std-dev ``sigma``."""
+def gaussian_pdf_cdf(x, mu, sigma):
+    """Gaussian density and cumulative distribution at ``x`` for mean ``mu``
+    and std-dev ``sigma``, from one standardization."""
     z = (np.asarray(x, dtype=np.float64) - mu) / sigma
-    return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma)
-
-
-def gaussian_cdf(x, mu, sigma):
-    """Gaussian cumulative distribution at ``x``."""
-    z = (np.asarray(x, dtype=np.float64) - mu) / sigma
-    return ndtr(z)
+    return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma), ndtr(z)
 
 
 def log_gaussian_pdf(x, mu, sigma):

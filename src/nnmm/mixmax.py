@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .gauss import _LOG_SQRT_2PI, DENSITY_FLOOR, gaussian_cdf, gaussian_pdf
+from .gauss import _LOG_SQRT_2PI, DENSITY_FLOOR, gaussian_pdf_cdf
 from .mog import PhonemeMog
 from .noise import NoiseModel
 
@@ -43,42 +43,32 @@ LOG_DENSITY_FLOOR = np.log(DENSITY_FLOOR)
 class MixmaxDiagnostics:
     """Counters for the rare numerical fallbacks taken during enhancement."""
 
-    uniform_posteriors: int = 0
     undecidable_bins: int = 0
     tail_fallbacks: int = 0
 
-    def merge(self, other: "MixmaxDiagnostics") -> None:
-        self.uniform_posteriors += other.uniform_posteriors
-        self.undecidable_bins += other.undecidable_bins
-        self.tail_fallbacks += other.tail_fallbacks
-
     @property
     def total(self) -> int:
-        return self.uniform_posteriors + self.undecidable_bins + self.tail_fallbacks
+        return self.undecidable_bins + self.tail_fallbacks
 
 
 # ---------------------------------------------------------------------------
 # elementwise max-of-Gaussians density
 # ---------------------------------------------------------------------------
 
-def _pdf_cdf(z, mu, sigma):
-    """Gaussian density and CDF at ``z``; broadcasts freely."""
-    return gaussian_pdf(z, mu, sigma), gaussian_cdf(z, mu, sigma)
-
-
 def _max_terms(speech, z, mu_y, sigma_y):
     """The two terms of the max density, f(z) G(z) and F(z) g(z).
 
-    ``speech`` is the pair (f, F) from :func:`_pdf_cdf` on the speech side.
+    ``speech`` is the pair (f, F) from :func:`gaussian_pdf_cdf` on the
+    speech side.
     """
     f, big_f = speech
-    g, big_g = _pdf_cdf(z, mu_y, sigma_y)
+    g, big_g = gaussian_pdf_cdf(z, mu_y, sigma_y)
     return f * big_g, big_f * g
 
 
 def max_density(z, mu_x, sigma_x, mu_y, sigma_y):
     """Density of max(X, Y) for independent Gaussians; broadcasts freely."""
-    speech, noise = _max_terms(_pdf_cdf(z, mu_x, sigma_x), z, mu_y, sigma_y)
+    speech, noise = _max_terms(gaussian_pdf_cdf(z, mu_x, sigma_x), z, mu_y, sigma_y)
     return speech + noise
 
 
@@ -89,7 +79,7 @@ def speech_terms(z: np.ndarray, mog: PhonemeMog) -> tuple[np.ndarray, np.ndarray
     have shape (..., m, K).  Nothing here depends on the noise model.
     """
     z = np.asarray(z, dtype=np.float64)
-    return _pdf_cdf(z[..., np.newaxis, :], mog.means, mog.stds)
+    return gaussian_pdf_cdf(z[..., np.newaxis, :], mog.means, mog.stds)
 
 
 def speech_dominance(
@@ -115,27 +105,19 @@ def speech_dominance(
     return np.clip(rho, 0.0, 1.0), h
 
 
-def generative_posterior(
-    h: np.ndarray,
-    mog: PhonemeMog,
-    diag: MixmaxDiagnostics | None = None,
-) -> np.ndarray:
+def generative_posterior(h: np.ndarray, mog: PhonemeMog) -> np.ndarray:
     """Component posterior p(i | z) under the max-model mixture, length m.
 
     ``h`` is the (m, K) density from :func:`speech_dominance`; bins are
     treated as independent, so each component's joint log-density is the
     sum of its per-bin logs.  Computed in the log domain with
-    max-subtraction.  If every component underflows to nothing (non-finite
-    scores), a uniform posterior is returned and counted in ``diag``.
+    max-subtraction.  ``h`` is floored at ``DENSITY_FLOOR`` before the log,
+    so the scores are finite for any finite observation; a NaN observation
+    gives a NaN posterior, which :func:`hybrid_spp` rejects.
     """
     log_joint = np.sum(np.log(np.maximum(h, DENSITY_FLOOR)), axis=1)
     scores = np.log(mog.weights) + log_joint
-    top = np.max(scores)
-    if not np.isfinite(top):
-        if diag is not None:
-            diag.uniform_posteriors += 1
-        return np.full(mog.n_components, 1.0 / mog.n_components)
-    w = np.exp(scores - top)
+    w = np.exp(scores - np.max(scores))
     return w / np.sum(w)
 
 

@@ -114,10 +114,7 @@ def train_em(
 
     for _ in range(iterations):
         # E-step in the log domain with max-subtraction.
-        logp = np.stack(
-            [log_gaussian_pdf(x, means[i], stds[i]).sum(axis=1) for i in range(m)], axis=1
-        )
-        logp += np.log(np.maximum(weights, DENSITY_FLOOR))
+        logp = frame_log_joints(PhonemeMog(weights=weights, means=means, stds=stds), x)
         peak = logp.max(axis=1, keepdims=True)
         resp = np.exp(logp - peak)
         resp /= resp.sum(axis=1, keepdims=True)

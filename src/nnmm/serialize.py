@@ -38,7 +38,6 @@ class ModelBundle:
     sample_rate: int
     frame_length: int
     config_hash: int = 0
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.sample_rate <= 0 or self.frame_length <= 0:
@@ -69,7 +68,7 @@ def save_bundle(bundle: ModelBundle, path: str) -> None:
     mog, net = bundle.mog, bundle.net
     out = [
         MAGIC,
-        struct.pack("<IQ", bundle.version, bundle.config_hash),
+        struct.pack("<IQ", FORMAT_VERSION, bundle.config_hash),
         struct.pack(
             "<IIII", bundle.sample_rate, bundle.frame_length,
             mog.n_components, mog.n_bins,
@@ -149,5 +148,4 @@ def load_bundle(path: str) -> ModelBundle:
         sample_rate=sample_rate,
         frame_length=frame_length,
         config_hash=config_hash,
-        version=version,
     )

@@ -143,6 +143,7 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
     diag = MixmaxDiagnostics()
     out = np.empty_like(spec.frames)
     frame_mean_spp = np.empty(spec.n_frames)
+    posteriors = np.empty((spec.n_frames, mog.n_components))
 
     for t in range(spec.n_frames):
         z = logspecs[t]
@@ -150,7 +151,8 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
         if cfg.posterior_source == "nn":
             p = forward(net, feats[t])
         else:
-            p = generative_posterior(h, mog, diag)
+            p = generative_posterior(h, mog)
+        posteriors[t] = p
 
         spp = hybrid_spp(p, rho)
         frame_mean_spp[t] = spp.mean()
@@ -169,6 +171,7 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
     report = EnhancementReport(
         frames_processed=spec.n_frames,
         frame_mean_spp=frame_mean_spp,
+        posteriors=posteriors,
         diagnostics=diag,
         noise=noise,
     )

@@ -1,12 +1,17 @@
 """Command-line workflow: corpus -> models -> enhancement -> evaluation."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from nnmm.cli import main, parse_config_file
-from nnmm.dsp import read_wav
+from nnmm.cli import UsageError, main, parse_config_file
+from nnmm.corpus import load_corpus, mix_at_snr, step_white_noise, white_noise
+from nnmm.dsp import read_wav, stft
+from nnmm.enhancer import EnhancerConfig
+from nnmm.features import feature_matrix
+from nnmm.nn import classify_accuracy
 from nnmm.serialize import load_bundle
 
 
@@ -91,6 +96,31 @@ class TestWorkflow:
         gains = [float(r["segsnr_out"]) - float(r["segsnr_in"]) for r in rows]
         assert np.mean(gains) > 0.0
 
+    def test_evaluate_accuracy_is_classifier_accuracy_on_noisy(self, workspace):
+        """In nn mode each row's accuracy is the classifier's on that row's
+        noisy mixture, rebuilt here with the same noise seeds."""
+        root, corpus, _, full = workspace
+        csv_path = root / "accuracy.csv"
+        assert main(["evaluate", "--bundle", str(full), "--corpus", str(corpus),
+                     "--out", str(csv_path), "--snr", "0,10", "--noise", "white,step",
+                     "--seed", "2"]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        net = load_bundle(full).net
+        utterances, _ = load_corpus(corpus)
+        run = 0
+        expected = []
+        for utt in utterances:
+            clean = utt.waveform
+            for maker in (white_noise, step_white_noise):
+                for snr in (0.0, 10.0):
+                    noise = maker(len(clean), clean.sample_rate, seed=2 + run)
+                    run += 1
+                    feats = feature_matrix(stft(mix_at_snr(clean, noise, snr), 512),
+                                           clean.sample_rate)
+                    expected.append(round(classify_accuracy(net, feats, utt.frame_labels), 4))
+        assert [float(r["accuracy"]) for r in rows] == expected
+
     def test_train_mog_em_runs(self, workspace):
         root, corpus, _, _ = workspace
         out = root / "em.nnmm"
@@ -113,11 +143,20 @@ class TestConfig:
         assert cfg == {"beta": "3.0", "alpha": "0.2", "estimator": "mixmax-mmse"}
 
     def test_unknown_key_rejected(self, tmp_path):
-        from nnmm.cli import UsageError
-
         p = tmp_path / "enh.cfg"
         p.write_text("gamma = 1\n")
         with pytest.raises(UsageError, match="gamma"):
+            parse_config_file(p)
+
+    def test_keys_are_enhancer_fields_but_frame_length(self, tmp_path):
+        """Every EnhancerConfig field is a key, except the frame length,
+        which the model bundle fixes."""
+        names = [f.name for f in fields(EnhancerConfig) if f.name != "frame_length"]
+        p = tmp_path / "enh.cfg"
+        p.write_text("".join(f"{name} = 1\n" for name in names))
+        assert list(parse_config_file(p)) == names
+        p.write_text("frame_length = 512\n")
+        with pytest.raises(UsageError, match="frame_length"):
             parse_config_file(p)
 
     def test_flag_overrides_config_file(self, workspace, tmp_path, capsys):
@@ -188,3 +227,11 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.wav"), "--frame-length", "256"])
         assert code == 1
         capsys.readouterr()
+
+    def test_evaluate_frame_length_flag_is_usage_error(self, workspace, tmp_path, capsys):
+        """The bundle fixes the frame length; evaluate has no flag for it."""
+        _, corpus, _, full = workspace
+        code = main(["evaluate", "--bundle", str(full), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "r.csv"), "--frame-length", "256"])
+        assert code == 1
+        assert "--frame-length" in capsys.readouterr().err

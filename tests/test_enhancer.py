@@ -238,7 +238,7 @@ class TestComposition:
             if posterior_source == "nn":
                 p = forward(net, feats[t])
             else:
-                p = generative_posterior(h, mog, diag)
+                p = generative_posterior(h, mog)
             spp = np.clip(p @ rho, 0.0, 1.0)
             mean_spp[t] = spp.mean()
             xhat = soft_subtract(z, spp, cfg.beta)
@@ -288,6 +288,10 @@ class TestHoisting:
         else:
             np.testing.assert_array_equal(out.samples, expected)
         np.testing.assert_allclose(report.frame_mean_spp, ref.frame_mean_spp, rtol=0, atol=1e-14)
+        if posterior_source == "nn":
+            np.testing.assert_allclose(report.posteriors, ref.posteriors, rtol=0, atol=1e-14)
+        else:
+            np.testing.assert_array_equal(report.posteriors, ref.posteriors)
         np.testing.assert_allclose(report.noise.mu, ref.noise.mu, rtol=0, atol=1e-14)
         np.testing.assert_allclose(report.noise.sigma, ref.noise.sigma, rtol=0, atol=1e-14)
         assert report.diagnostics == ref.diagnostics

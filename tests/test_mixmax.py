@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 
-from nnmm.gauss import SIGMA_FLOOR, gaussian_cdf
+from nnmm.gauss import SIGMA_FLOOR
 from nnmm.mixmax import (
     MixmaxDiagnostics,
     conditional_mean_below,
@@ -49,10 +50,10 @@ def dominance(z, mog, noise, diag=None):
     return speech_dominance(z, speech_terms(z, mog), noise, diag)
 
 
-def posterior_at(z, mog, noise, diag=None):
+def posterior_at(z, mog, noise):
     """Generative posterior from the density that speech_dominance forms."""
     _, h = dominance(z, mog, noise)
-    return generative_posterior(h, mog, diag)
+    return generative_posterior(h, mog)
 
 
 def mmse_at(z, p, mog, noise):
@@ -78,7 +79,7 @@ class TestMaxDensity:
         z = np.linspace(-2, 4, 25)
         h = max_density(z, 1.0, 0.7, 1.0, 0.7)
         f = np.exp(-0.5 * ((z - 1) / 0.7) ** 2) / (0.7 * np.sqrt(2 * np.pi))
-        big_f = gaussian_cdf(z, 1.0, 0.7)
+        big_f = ndtr((z - 1.0) / 0.7)
         np.testing.assert_allclose(h, 2 * f * big_f, rtol=1e-12)
 
     def test_integrates_to_one(self):
@@ -101,8 +102,8 @@ class TestMaxDensity:
             sx, sy = rng.uniform(0.4, 2.0, 2)
             z = rng.uniform(-3, 3, 15)
             fd = (
-                gaussian_cdf(z + eps, mx, sx) * gaussian_cdf(z + eps, my, sy)
-                - gaussian_cdf(z - eps, mx, sx) * gaussian_cdf(z - eps, my, sy)
+                ndtr((z + eps - mx) / sx) * ndtr((z + eps - my) / sy)
+                - ndtr((z - eps - mx) / sx) * ndtr((z - eps - my) / sy)
             ) / (2 * eps)
             np.testing.assert_allclose(max_density(z, mx, sx, my, sy), fd,
                                        rtol=1e-6, atol=1e-12)
@@ -198,13 +199,12 @@ class TestGenerativePosterior:
             assert abs(p.sum() - 1.0) < 1e-9
             assert np.all(p >= 0)
 
-    def test_non_finite_scores_fall_back_to_uniform(self):
+    def test_nan_frame_posterior_rejected_by_spp(self):
+        """A NaN observation gives a NaN posterior, which the SPP refuses."""
         mog = single_mog([0.0], [1.0])
-        noise = noise_of([0.0], [1.0])
-        diag = MixmaxDiagnostics()
-        p = posterior_at(np.array([np.nan]), mog, noise, diag)
-        np.testing.assert_allclose(p, [1.0])
-        assert diag.uniform_posteriors == 1
+        rho, h = dominance(np.array([np.nan]), mog, noise_of([0.0], [1.0]))
+        with pytest.raises(ValueError, match="probability vector"):
+            hybrid_spp(generative_posterior(h, mog), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +455,6 @@ class TestSoftSubtract:
             soft_subtract(np.zeros(2), np.zeros(2), -1.0)
 
 
-class TestDiagnostics:
-    def test_merge_accumulates(self):
-        a = MixmaxDiagnostics(uniform_posteriors=1, undecidable_bins=2, tail_fallbacks=3)
-        b = MixmaxDiagnostics(tail_fallbacks=4)
-        a.merge(b)
-        assert (a.uniform_posteriors, a.undecidable_bins, a.tail_fallbacks) == (1, 2, 7)
-        assert a.total == 10
-
-
 # ---------------------------------------------------------------------------
 # Per-frame invariants over random models
 # ---------------------------------------------------------------------------
@@ -499,7 +490,7 @@ class TestKernelProperties:
         np.testing.assert_array_equal(
             h, max_density(z, mog.means, mog.stds, noise.mu, noise.sigma))
 
-        p_gen = generative_posterior(h, mog, diag)
+        p_gen = generative_posterior(h, mog)
         assert np.all(p_gen >= 0)
         assert abs(p_gen.sum() - 1.0) < 1e-9
 
