@@ -183,9 +183,10 @@ def _run(
             if generative:
                 posteriors[t] = generative_posterior(h, mog)
             p = posteriors[t]
-            spp[t] = hybrid_spp(p, rho)
             if mmse:
-                xhat[t] = mmse_estimate(z, p, rho, below[i])
+                xhat[t], spp[t] = mmse_estimate(z, p, rho, below[i])
+            else:
+                spp[t] = hybrid_spp(p, rho)
             if adapt_noise:
                 noise = adapt(noise, z, spp[t], cfg.alpha)
 

@@ -19,13 +19,23 @@ SIGMA_FLOOR = 1e-3
 DENSITY_FLOOR = 1e-300
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def gaussian_pdf_cdf(x, mu, sigma):
     """Gaussian density and cumulative distribution at ``x`` for mean ``mu``
-    and std-dev ``sigma``, from one standardization."""
-    z = (np.asarray(x, dtype=np.float64) - mu) / sigma
-    return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma), ndtr(z)
+    and std-dev ``sigma``, from one standardization.
+
+    The density is formed in place on fresh arrays, in the order of
+    ``exp(-0.5 * z * z) / (sqrt(2 pi) * sigma)``, so it rounds the same.
+    """
+    z = np.subtract(x, mu, dtype=np.float64)
+    z /= sigma
+    pdf = np.multiply(-0.5, z)
+    pdf *= z
+    pdf = np.exp(pdf, out=pdf if pdf.ndim else None)  # a 0-d result has no buffer
+    pdf /= _SQRT_2PI * sigma
+    return pdf, ndtr(z)
 
 
 def log_gaussian_pdf(x, mu, sigma):

@@ -95,14 +95,22 @@ def speech_dominance(
     every component and bin, the one place the per-frame densities are
     combined.  Bins where ``h`` itself underflows carry no information
     either way; their ``rho`` comes back as 0.5 and is counted in ``diag``.
+
+    One ``h.min()`` test picks the path.  When no bin underflows, ``rho`` is
+    ``f G / h`` with no further check: ``f G <= h`` and both are
+    non-negative, so it already lies in [0, 1].  Only a frame with an
+    underflowing bin builds the mask, counts its bins and clips.
     """
-    numer, rest = _max_terms(speech, np.asarray(z, dtype=np.float64), noise.mu, noise.sigma)
-    h = numer + rest
-    undecidable = h < DENSITY_FLOOR
-    if diag is not None:
-        diag.undecidable_bins += int(np.count_nonzero(undecidable))
-    rho = np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h))
-    return np.clip(rho, 0.0, 1.0), h
+    numer, h = _max_terms(speech, np.asarray(z, dtype=np.float64), noise.mu, noise.sigma)
+    h += numer
+    if h.min() < DENSITY_FLOOR:
+        undecidable = h < DENSITY_FLOOR
+        if diag is not None:
+            diag.undecidable_bins += int(np.count_nonzero(undecidable))
+        rho = np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h))
+        return np.clip(rho, 0.0, 1.0), h
+    numer /= h
+    return numer, h
 
 
 def generative_posterior(h: np.ndarray, mog: PhonemeMog) -> np.ndarray:
@@ -115,7 +123,8 @@ def generative_posterior(h: np.ndarray, mog: PhonemeMog) -> np.ndarray:
     so the scores are finite for any finite observation; a NaN observation
     gives a NaN posterior, which :func:`hybrid_spp` rejects.
     """
-    log_joint = np.sum(np.log(np.maximum(h, DENSITY_FLOOR)), axis=1)
+    floored = np.maximum(h, DENSITY_FLOOR)
+    log_joint = np.log(floored, out=floored).sum(axis=1)
     scores = np.log(mog.weights) + log_joint
     w = np.exp(scores - np.max(scores))
     return w / np.sum(w)
@@ -164,18 +173,24 @@ def mmse_estimate(
     posterior: np.ndarray,
     rho: np.ndarray,
     below: np.ndarray,
-) -> np.ndarray:
-    """Posterior-weighted MMSE estimate of the clean log-spectrum, length K.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior-weighted MMSE estimate of the clean log-spectrum and the
+    SPP, both length K.
 
     Per component the estimate keeps the observation where speech dominates
     and falls back to the truncated-Gaussian mean where noise does:
     x̂ = rho·z + (1−rho)·E[X | X < z], with ``rho`` from
     :func:`speech_dominance` and ``below`` from :func:`conditional_mean_below`.
+    The SPP is :func:`hybrid_spp` of the same posterior and ``rho``; it
+    checks the posterior, so the estimator, which needs both, checks each
+    frame's posterior once.
     """
-    z = np.asarray(z, dtype=np.float64)
-    p = _check_posterior(posterior, rho)
-    per_component = rho * z[np.newaxis, :] + (1.0 - rho) * below
-    return p @ per_component
+    spp = hybrid_spp(posterior, rho)
+    per_component = rho * np.asarray(z, dtype=np.float64)[np.newaxis, :]
+    rest = 1.0 - rho
+    rest *= below
+    per_component += rest
+    return np.dot(np.asarray(posterior, dtype=np.float64), per_component), spp
 
 
 def hybrid_spp(p_nn: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -183,9 +198,12 @@ def hybrid_spp(p_nn: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     Mixes the per-component dominance ``rho`` from :func:`speech_dominance`
     with a component posterior, either the discriminative classifier's or
-    the generative one.
+    the generative one.  The posterior is checked here.  A valid posterior
+    and ``rho >= 0`` make every sum non-negative, so only the upper end is
+    clamped, against rounding above 1.
     """
-    return np.clip(_check_posterior(p_nn, rho) @ rho, 0.0, 1.0)
+    spp = np.dot(_check_posterior(p_nn, rho), rho)
+    return np.minimum(spp, 1.0, out=spp)
 
 
 def soft_subtract(z: np.ndarray, spp: np.ndarray, beta: float) -> np.ndarray:

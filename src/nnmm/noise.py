@@ -33,6 +33,15 @@ class NoiseModel:
         if (sigma < SIGMA_FLOOR).any():
             raise ValueError(f"sigma must be >= {SIGMA_FLOOR}")
 
+    @classmethod
+    def _unchecked(cls, mu: np.ndarray, sigma: np.ndarray) -> NoiseModel:
+        """A model from float64 (K,) arrays that are valid by construction;
+        skips ``__post_init__``."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "mu", mu)
+        object.__setattr__(model, "sigma", sigma)
+        return model
+
     @property
     def n_bins(self) -> int:
         return self.mu.shape[0]
@@ -55,6 +64,14 @@ def adapt(model: NoiseModel, z: np.ndarray, spp: np.ndarray, alpha: float) -> No
     Noise-dominated bins (spp near 0) move toward the observation with
     smoothing ``alpha``; speech-dominated bins are frozen.  The updated mean
     feeds the deviation term of the std update.
+
+    Checks run on the inputs only: the frame and SPP match the model's
+    length, ``alpha`` lies in (0, 1), the SPP in [0, 1] (NaN fails) and the
+    frame is finite.  ``model`` was checked when it was built.  The
+    result is not checked again: its mean blends finite values with weights
+    in [0, 1] and its std is floored at ``SIGMA_FLOOR``, so it is valid by
+    construction.  Both are formed in place on fresh arrays, in the order
+    of the textbook recursion, so they round the same.
     """
     z = np.asarray(z, dtype=np.float64)
     rho = np.asarray(spp, dtype=np.float64)
@@ -64,9 +81,25 @@ def adapt(model: NoiseModel, z: np.ndarray, spp: np.ndarray, alpha: float) -> No
         raise ValueError("alpha must be in (0, 1)")
     if not (rho.min() >= 0 and rho.max() <= 1):  # NaN fails both
         raise ValueError("SPP values must lie in [0, 1]")
+    if not np.isfinite(z).all():
+        raise ValueError("observation must be finite")
 
-    mu_new = rho * model.mu + (1.0 - rho) * (alpha * z + (1.0 - alpha) * model.mu)
-    sigma_new = rho * model.sigma + (1.0 - rho) * (
-        alpha * np.abs(z - mu_new) + (1.0 - alpha) * model.sigma
-    )
-    return NoiseModel(mu=mu_new, sigma=np.maximum(sigma_new, SIGMA_FLOOR))
+    # mu = rho*mu + (1-rho)*(alpha*z + (1-alpha)*mu)
+    gate = 1.0 - rho
+    tmp = np.multiply(1.0 - alpha, model.mu)
+    mu = np.multiply(alpha, z)
+    mu += tmp
+    mu *= gate
+    np.multiply(rho, model.mu, out=tmp)
+    mu += tmp
+    # sigma = rho*sigma + (1-rho)*(alpha*|z - mu| + (1-alpha)*sigma)
+    sigma = np.subtract(z, mu)
+    np.abs(sigma, out=sigma)
+    sigma *= alpha
+    np.multiply(1.0 - alpha, model.sigma, out=tmp)
+    sigma += tmp
+    sigma *= gate
+    np.multiply(rho, model.sigma, out=tmp)
+    sigma += tmp
+    np.maximum(sigma, SIGMA_FLOOR, out=sigma)
+    return NoiseModel._unchecked(mu, sigma)

@@ -160,7 +160,7 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
         if cfg.estimator == "soft-subtraction":
             xhat = soft_subtract(z, spp, cfg.beta)
         else:
-            xhat = mmse_estimate(z, p, rho, conditional_mean_below(z, mog, diag))
+            xhat, _ = mmse_estimate(z, p, rho, conditional_mean_below(z, mog, diag))
 
         if adapt_noise:
             noise = adapt(noise, z, spp, cfg.alpha)

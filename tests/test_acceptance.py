@@ -136,7 +136,8 @@ def test_c02_mmse_estimate_matches_monte_carlo(scalar_mc):
         zv = np.array([z])
         rho, h = speech_dominance(zv, speech_terms(zv, mog), noise)
         posterior = generative_posterior(h, mog)
-        closed = mmse_estimate(zv, posterior, rho, conditional_mean_below(zv, mog))[0]
+        xhat, _ = mmse_estimate(zv, posterior, rho, conditional_mean_below(zv, mog))
+        closed = xhat[0]
         assert mc["n"] > 500, f"window at z={z} too empty for a meaningful SE"
         assert abs(closed - mc["mean_x"]) < 3 * mc["mean_x_se"], (
             f"z={z}: closed {closed:.4f}, mc {mc['mean_x']:.4f} "

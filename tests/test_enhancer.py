@@ -194,7 +194,7 @@ class TestComposition:
         for t in range(spec.n_frames):
             rho, h = speech_dominance(logs[t], speech_terms(logs[t], mog), noise)
             p = generative_posterior(h, mog)
-            manual[t] = mmse_estimate(logs[t], p, rho, conditional_mean_below(logs[t], mog))
+            manual[t], _ = mmse_estimate(logs[t], p, rho, conditional_mean_below(logs[t], mog))
 
         # spot-check one frame against the closed form written out
         t = spec.n_frames // 2

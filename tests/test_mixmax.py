@@ -59,7 +59,7 @@ def posterior_at(z, mog, noise):
 def mmse_at(z, p, mog, noise):
     """MMSE estimate from the per-frame terms, as the enhancer forms them."""
     rho, _ = dominance(z, mog, noise)
-    return mmse_estimate(z, p, rho, conditional_mean_below(z, mog))
+    return mmse_estimate(z, p, rho, conditional_mean_below(z, mog))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ class TestMmse:
         rho, _ = dominance(z, mog, noise)
         below = conditional_mean_below(z, mog)
         expected = rho[1] * z + (1 - rho[1]) * below[1]
-        out = mmse_estimate(z, np.array([0.0, 1.0]), rho, below)
+        out, _ = mmse_estimate(z, np.array([0.0, 1.0]), rho, below)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_never_exceeds_observation(self):
@@ -498,4 +498,6 @@ class TestKernelProperties:
         for p in (p_gen, p_ext):
             spp = hybrid_spp(p, rho)
             assert np.all((spp >= 0) & (spp <= 1))
-            assert np.all(mmse_estimate(z, p, rho, below) <= z + 1e-9)
+            xhat, spp_mmse = mmse_estimate(z, p, rho, below)
+            assert np.all(xhat <= z + 1e-9)
+            np.testing.assert_array_equal(spp_mmse, spp)
