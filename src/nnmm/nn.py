@@ -73,21 +73,20 @@ def init_classifier(
 # inference
 # ---------------------------------------------------------------------------
 
-def _with_bias(x: np.ndarray) -> np.ndarray:
-    ones = np.ones(x.shape[:-1] + (1,))
-    return np.concatenate([x, ones], axis=-1)
-
-
 def _forward_arrays(w1, w2, v):
-    """Posterior plus the intermediates backprop needs; v is (N, D)."""
-    vb = _with_bias(v)                          # (N, D+1)
-    h = vb @ w1.T                               # (N, H)
+    """Posterior plus the hidden activations backprop needs; v is (N, D).
+
+    Each layer adds its bias column to the product with the other columns,
+    so no bias-augmented copy of ``v`` or of the hidden layer is built.
+    """
+    h = v @ w1[:, :-1].T                        # (N, H)
+    h += w1[:, -1]
     expit(h, out=h)                             # in place: one (N, H) array
-    hb = _with_bias(h)                          # (N, H+1)
-    logits = hb @ w2.T
+    logits = h @ w2[:, :-1].T
+    logits += w2[:, -1]
     logits -= np.max(logits, axis=-1, keepdims=True)
     e = np.exp(logits)
-    return e / np.sum(e, axis=-1, keepdims=True), h, vb, hb
+    return e / np.sum(e, axis=-1, keepdims=True), h
 
 
 def forward(net: NnClassifier, v: np.ndarray) -> np.ndarray:
@@ -117,13 +116,14 @@ def log_likelihood(net: NnClassifier, inputs: np.ndarray, targets: np.ndarray) -
 
 
 def _gradient_arrays(w1, w2, inputs, targets):
-    p, h, vb, hb = _forward_arrays(w1, w2, inputs)
+    p, h = _forward_arrays(w1, w2, inputs)
 
     delta2 = -p
     delta2[np.arange(len(targets)), targets] += 1.0   # one-hot minus posterior
-    g2 = delta2.T @ hb
     delta1 = (delta2 @ w2[:, :-1]) * h * (1.0 - h)
-    g1 = delta1.T @ vb
+    # weight columns from the layer inputs, bias column as the column sums
+    g2 = np.column_stack([delta2.T @ h, delta2.sum(axis=0)])
+    g1 = np.column_stack([delta1.T @ inputs, delta1.sum(axis=0)])
     return g1, g2
 
 
