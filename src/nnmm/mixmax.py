@@ -181,9 +181,9 @@ def mmse_estimate(
     and falls back to the truncated-Gaussian mean where noise does:
     x̂ = rho·z + (1−rho)·E[X | X < z], with ``rho`` from
     :func:`speech_dominance` and ``below`` from :func:`conditional_mean_below`.
-    The SPP is :func:`hybrid_spp` of the same posterior and ``rho``; it
-    checks the posterior, so the estimator, which needs both, checks each
-    frame's posterior once.
+    The second result is the SPP, :func:`hybrid_spp` of the same posterior
+    and ``rho``.  That call checks the posterior, so a caller that needs
+    both checks each frame's posterior once.
     """
     spp = hybrid_spp(posterior, rho)
     per_component = rho * np.asarray(z, dtype=np.float64)[np.newaxis, :]

@@ -331,6 +331,41 @@ class TestHoisting:
 
 
 # ---------------------------------------------------------------------------
+# Inputs are read, never written
+# ---------------------------------------------------------------------------
+
+
+def input_arrays(noisy, mog, net=None):
+    arrays = [noisy.samples, mog.weights, mog.means, mog.stds]
+    return arrays if net is None else arrays + [net.w1, net.w2]
+
+
+class TestInputsUnmodified:
+    """The kernels work in place on arrays they allocate; the caller's
+    waveform, mixture and classifier come back as they went in."""
+
+    @pytest.mark.parametrize("estimator,posterior_source", MODES)
+    def test_enhance_utterance(self, setup, estimator, posterior_source):
+        mog, net, _, noisy = setup
+        noisy = with_silence_gap(noisy)
+        arrays = input_arrays(noisy, mog, net)
+        before = [a.copy() for a in arrays]
+        enhance_utterance(noisy, mog, net,
+                          EnhancerConfig(estimator=estimator, posterior_source=posterior_source))
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_enhance_mixmax_original(self, setup):
+        mog, _, _, noisy = setup
+        noisy = with_silence_gap(noisy)
+        arrays = input_arrays(noisy, mog)
+        before = [a.copy() for a in arrays]
+        enhance_mixmax_original(noisy, mog, EnhancerConfig())
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
 # Noise model tracking
 # ---------------------------------------------------------------------------
 

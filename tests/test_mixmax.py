@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
-from nnmm.gauss import SIGMA_FLOOR
+from nnmm.gauss import DENSITY_FLOOR, SIGMA_FLOOR, gaussian_pdf_cdf
 from nnmm.mixmax import (
     MixmaxDiagnostics,
     conditional_mean_below,
@@ -251,6 +251,35 @@ class TestSpeechDominance:
         rho, _ = dominance(np.array([60.0]), mog, noise, diag)
         assert rho[0, 0] == 0.5
         assert diag.undecidable_bins == 1
+
+    def test_mixed_frame_takes_the_masked_formula(self):
+        """A frame where some bins underflow: 0.5 exactly there, f G / h
+        elsewhere, and only the underflowing bins are counted."""
+        mog = PhonemeMog(weights=np.array([0.5, 0.5]),
+                         means=np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 40.0]]),
+                         stds=np.ones((2, 4)))
+        noise = noise_of(np.zeros(4), np.ones(4))
+        z = np.array([0.3, 60.0, -1.0, 45.0])
+        f, big_f = speech_terms(z, mog)
+        g, big_g = gaussian_pdf_cdf(z, noise.mu, noise.sigma)
+        numer, h_exp = f * big_g, f * big_g + big_f * g
+        und = h_exp < DENSITY_FLOOR
+        np.testing.assert_array_equal(und, [[False, True, False, True],
+                                            [False, True, False, False]])
+
+        diag = MixmaxDiagnostics()
+        rho, h = speech_dominance(z, (f, big_f), noise, diag)
+        np.testing.assert_array_equal(h, h_exp)
+        np.testing.assert_array_equal(rho, np.where(und, 0.5, numer / np.where(und, 1.0, h_exp)))
+        assert diag.undecidable_bins == 3
+
+        # the same bins without the underflowing ones take the common path
+        keep = [0, 2]
+        diag = MixmaxDiagnostics()
+        rho, _ = speech_dominance(z[keep], (f[:, keep], big_f[:, keep]),
+                                  noise_of(np.zeros(2), np.ones(2)), diag)
+        np.testing.assert_array_equal(rho, numer[:, keep] / h_exp[:, keep])
+        assert diag.undecidable_bins == 0
 
     def test_range_always_valid(self):
         rng = np.random.default_rng(11)

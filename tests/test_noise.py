@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nnmm.gauss import SIGMA_FLOOR
 from nnmm.noise import NoiseModel, adapt, init_from_prefix
@@ -84,3 +87,46 @@ class TestAdapt:
         model = NoiseModel(mu=np.zeros(2), sigma=np.ones(2))
         with pytest.raises(ValueError, match="SPP"):
             adapt(model, np.zeros(2), np.array([0.5, np.nan]), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_observation_rejected(self, bad):
+        """The result is not re-checked, so the frame is checked instead."""
+        model = NoiseModel(mu=np.zeros(3), sigma=np.ones(3))
+        with pytest.raises(ValueError, match="observation must be finite"):
+            adapt(model, np.array([0.0, bad, 1.0]), np.array([0.0, 1.0, 0.5]), 0.1)
+
+
+@st.composite
+def adapt_cases(draw):
+    """A noise model, a finite frame, an SPP in [0, 1] and alpha in (0, 1)."""
+    k = draw(st.integers(1, 16))
+
+    def vec(lo, hi):
+        return draw(arrays(np.float64, k, elements=st.floats(lo, hi)))
+
+    model = NoiseModel(mu=vec(-50.0, 50.0), sigma=vec(SIGMA_FLOOR, 10.0))
+    return model, vec(-100.0, 100.0), vec(0.0, 1.0), draw(st.floats(1e-3, 1.0 - 1e-3))
+
+
+class TestAdaptProperties:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(adapt_cases())
+    def test_equals_textbook_recursion(self, case):
+        """Bit for bit the two-stage recursion, sigma floored, on fresh
+        arrays: the inputs come back unmodified."""
+        model, z, rho, alpha = case
+        inputs = (model.mu, model.sigma, z, rho)
+        before = [a.copy() for a in inputs]
+
+        out = adapt(model, z, rho, alpha)
+
+        mu = rho * model.mu + (1.0 - rho) * (alpha * z + (1.0 - alpha) * model.mu)
+        sigma = rho * model.sigma + (1.0 - rho) * (
+            alpha * np.abs(z - mu) + (1.0 - alpha) * model.sigma
+        )
+        np.testing.assert_array_equal(out.mu, mu)
+        np.testing.assert_array_equal(out.sigma, np.maximum(sigma, SIGMA_FLOOR))
+        assert np.all(out.sigma >= SIGMA_FLOOR)
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a, b)
+        assert not any(np.shares_memory(o, a) for o in (out.mu, out.sigma) for a in inputs)
