@@ -27,7 +27,8 @@ def gaussian_pdf_cdf(x, mu, sigma):
     and std-dev ``sigma``, from one standardization.
 
     The density is formed in place on fresh arrays, in the order of
-    ``exp(-0.5 * z * z) / (sqrt(2 pi) * sigma)``, so it rounds the same.
+    ``exp(-0.5 * z * z) / (sqrt(2 pi) * sigma)``, so it rounds as that
+    expression does.
     """
     z = np.subtract(x, mu, dtype=np.float64)
     z /= sigma

@@ -71,7 +71,7 @@ def adapt(model: NoiseModel, z: np.ndarray, spp: np.ndarray, alpha: float) -> No
     result is not checked again: its mean blends finite values with weights
     in [0, 1] and its std is floored at ``SIGMA_FLOOR``, so it is valid by
     construction.  Both are formed in place on fresh arrays, in the order
-    of the textbook recursion, so they round the same.
+    of the textbook recursion, so they round as its expressions do.
     """
     z = np.asarray(z, dtype=np.float64)
     rho = np.asarray(spp, dtype=np.float64)
