@@ -8,28 +8,17 @@ reference mode.
 """
 
 from .corpus import (
-    ClassEnvelope,
     LabeledUtterance,
     SyntheticCorpusSpec,
     assemble_frames,
     default_envelopes,
-    load_corpus,
     mix_at_snr,
     save_corpus,
     step_white_noise,
     synthesize_corpus,
     white_noise,
 )
-from .dsp import (
-    ComplexSpectrogram,
-    Waveform,
-    edge_padding,
-    istft,
-    log_spectra,
-    read_wav,
-    stft,
-    write_wav,
-)
+from .dsp import ComplexSpectrogram, Waveform, edge_padding, istft, stft, write_wav
 from .enhancer import (
     EnhancementReport,
     EnhancerConfig,
@@ -37,19 +26,17 @@ from .enhancer import (
     enhance_utterance,
 )
 from .errors import BundleFormatError, NumericError
-from .features import feature_matrix
 from .metrics import log_spectral_distance, segmental_snr
 from .mixmax import MixmaxDiagnostics
-from .mog import PhonemeMog, classify_frames, train_em, train_supervised
-from .nn import NnClassifier, classify_accuracy, forward, init_classifier, train
-from .noise import NoiseModel, adapt, init_from_prefix
+from .mog import PhonemeMog, classify_frames, train_supervised
+from .nn import NnClassifier, classify_accuracy, train
+from .noise import NoiseModel, adapt
 from .serialize import ModelBundle, load_bundle, save_bundle
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BundleFormatError",
-    "ClassEnvelope",
     "ComplexSpectrogram",
     "EnhancementReport",
     "EnhancerConfig",
@@ -70,17 +57,10 @@ __all__ = [
     "edge_padding",
     "enhance_mixmax_original",
     "enhance_utterance",
-    "feature_matrix",
-    "forward",
-    "init_classifier",
-    "init_from_prefix",
     "istft",
     "load_bundle",
-    "load_corpus",
-    "log_spectra",
     "log_spectral_distance",
     "mix_at_snr",
-    "read_wav",
     "save_bundle",
     "save_corpus",
     "segmental_snr",
@@ -88,7 +68,6 @@ __all__ = [
     "stft",
     "synthesize_corpus",
     "train",
-    "train_em",
     "train_supervised",
     "white_noise",
     "write_wav",

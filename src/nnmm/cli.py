@@ -126,13 +126,16 @@ def _load_compatible_corpus(args, bundle: ModelBundle):
 # ---------------------------------------------------------------------------
 
 def cmd_synth_corpus(args) -> int:
-    spec = SyntheticCorpusSpec(
-        envelopes=default_envelopes(args.classes, args.sample_rate),
-        sample_rate=args.sample_rate,
-        frame_length=args.frame_length or 512,
-        seed=args.seed,
-    )
-    utterances = synthesize_corpus(spec, args.utterances)
+    try:
+        spec = SyntheticCorpusSpec(
+            envelopes=default_envelopes(args.classes, args.sample_rate),
+            sample_rate=args.sample_rate,
+            frame_length=args.frame_length,
+            seed=args.seed,
+        )
+        utterances = synthesize_corpus(spec, args.utterances)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     save_corpus(args.out, utterances, spec.frame_length, spec.n_classes)
     frames = sum(len(u.frame_labels) for u in utterances)
     print(f"wrote {len(utterances)} utterances ({frames} frames, "
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=5)
     p.add_argument("--utterances", type=int, default=20)
     p.add_argument("--sample-rate", type=int, default=16000, dest="sample_rate")
-    p.add_argument("--frame-length", type=int, dest="frame_length")
+    p.add_argument("--frame-length", type=int, default=512, dest="frame_length")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth_corpus)
 

@@ -18,10 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, log_spectra, num_frames, read_wav, stft, write_wav
+from .dsp import Waveform, check_frame_length, log_spectra, num_frames, read_wav, stft, write_wav
 from .features import feature_matrix
 
 PEAK_LEVEL = 0.5
+
+# Shortest and longest class segment, in STFT hops.
+SEGMENT_FRAMES = (8, 20)
+
+# Where step_white_noise's level jumps, as a fraction of its length.
+STEP_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,7 @@ class SyntheticCorpusSpec:
     sample_rate: int = 16000
     frame_length: int = 512
     utterance_seconds: tuple[float, float] = (1.2, 2.0)
-    segment_frames: tuple[int, int] = (8, 20)
     amp_jitter: tuple[float, float] = (0.4, 1.0)
-    priors: tuple[float, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -85,13 +89,7 @@ class SyntheticCorpusSpec:
             raise ValueError("need at least 2 classes")
         if len({e.formants for e in self.envelopes}) != len(self.envelopes):
             raise ValueError("class envelopes must be distinct")
-        if self.priors and len(self.priors) != len(self.envelopes):
-            raise ValueError("one prior per class")
-        if self.priors and abs(sum(self.priors) - 1.0) > 1e-9:
-            raise ValueError("priors must sum to 1")
-        lo, hi = self.segment_frames
-        if lo < 2 or hi < lo:
-            raise ValueError("segment_frames must satisfy 2 <= min <= max")
+        check_frame_length(self.frame_length)
 
     @property
     def n_classes(self) -> int:
@@ -121,16 +119,15 @@ def _shaped_segment(env: ClassEnvelope, n: int, sample_rate: int, rng) -> np.nda
 
 
 def synthesize_utterance(spec: SyntheticCorpusSpec, rng) -> LabeledUtterance:
-    """One utterance: hop-aligned class segments with level jitter."""
+    """One utterance: uniformly drawn, hop-aligned class segments with level jitter."""
     hop = spec.frame_length // 4
     target = int(rng.uniform(*spec.utterance_seconds) * spec.sample_rate)
-    priors = np.asarray(spec.priors) if spec.priors else None
 
     pieces, classes, lengths = [], [], []
     total = 0
     while total < target:
-        cls = int(rng.choice(spec.n_classes, p=priors))
-        seg_frames = int(rng.integers(spec.segment_frames[0], spec.segment_frames[1] + 1))
+        cls = int(rng.choice(spec.n_classes))
+        seg_frames = int(rng.integers(SEGMENT_FRAMES[0], SEGMENT_FRAMES[1] + 1))
         n = seg_frames * hop
         seg = _shaped_segment(spec.envelopes[cls], n, spec.sample_rate, rng)
         seg *= rng.uniform(*spec.amp_jitter)
@@ -191,15 +188,12 @@ def step_white_noise(
     n_samples: int,
     sample_rate: int,
     seed: int = 0,
-    step_fraction: float = 0.5,
     step_db: float = 10.0,
 ) -> Waveform:
-    """White noise whose level jumps by ``step_db`` partway through."""
-    if not 0.0 < step_fraction < 1.0:
-        raise ValueError("step_fraction must be in (0, 1)")
+    """White noise whose level jumps by ``step_db`` halfway through."""
     rng = np.random.default_rng(seed)
     x = 0.1 * rng.standard_normal(n_samples)
-    split = int(n_samples * step_fraction)
+    split = int(n_samples * STEP_FRACTION)
     x[split:] *= 10.0 ** (step_db / 20.0)
     return Waveform(samples=x, sample_rate=sample_rate)
 
@@ -255,7 +249,16 @@ def load_corpus(path: str):
             line = line.strip()
             if line and not line.startswith("#"):
                 key, _, value = line.partition("=")
-                meta[key.strip()] = int(value.strip())
+                try:
+                    meta[key.strip()] = int(value.strip())
+                except ValueError:
+                    raise ValueError(f"{meta_path}: {line!r} is not <key>=<integer>") from None
+    missing = [k for k in ("n_utterances", "n_classes", "frame_length", "sample_rate")
+               if k not in meta]
+    if missing:
+        raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
+    if meta["n_utterances"] < 1:
+        raise ValueError(f"{meta_path}: n_utterances must be at least 1")
 
     utterances = []
     for i in range(meta["n_utterances"]):

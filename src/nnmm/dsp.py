@@ -53,17 +53,18 @@ class ComplexSpectrogram:
 
     frames: np.ndarray
     frame_length: int
-    hop: int
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
         object.__setattr__(self, "frames", frames)
         if self.frame_length % 2 != 0:
             raise ValueError("frame_length must be even")
-        if self.hop != self.frame_length // 4:
-            raise ValueError("hop must be frame_length / 4")
         if frames.ndim != 2 or frames.shape[1] != self.frame_length // 2 + 1:
             raise ValueError("frames must have frame_length/2 + 1 bins each")
+
+    @property
+    def hop(self) -> int:
+        return self.frame_length // 4
 
     @property
     def n_frames(self) -> int:
@@ -72,6 +73,12 @@ class ComplexSpectrogram:
     @property
     def n_bins(self) -> int:
         return self.frames.shape[1]
+
+
+def check_frame_length(frame_length: int) -> None:
+    """Reject frame lengths the enhancer cannot run at: odd, or below 8."""
+    if frame_length < 8 or frame_length % 2:
+        raise ValueError("frame_length must be even and at least 8")
 
 
 def analysis_window(frame_length: int) -> np.ndarray:
@@ -111,7 +118,7 @@ def stft(w: Waveform, frame_length: int = 512) -> ComplexSpectrogram:
     win = analysis_window(frame_length)
     windows = sliding_window_view(xp, frame_length)[::hop]
     frames = np.fft.rfft(windows * win, axis=1)
-    return ComplexSpectrogram(frames=frames, frame_length=frame_length, hop=hop)
+    return ComplexSpectrogram(frames=frames, frame_length=frame_length)
 
 
 def istft(s: ComplexSpectrogram) -> np.ndarray:

@@ -22,13 +22,14 @@ Two estimator styles are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dsp import (
     ComplexSpectrogram,
     Waveform,
+    check_frame_length,
     edge_padding,
     istft,
     log_spectra,
@@ -78,8 +79,7 @@ class EnhancerConfig:
     posterior_source: str = "nn"
 
     def __post_init__(self):
-        if self.frame_length < 8 or self.frame_length % 2:
-            raise ValueError("frame_length must be even and at least 8")
+        check_frame_length(self.frame_length)
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if not 0.0 < self.alpha < 1.0:
@@ -96,13 +96,16 @@ class EnhancerConfig:
 class EnhancementReport:
     """What happened during one utterance, for logging and evaluation."""
 
-    frames_processed: int
     frame_mean_spp: np.ndarray
     # (N, m): the component posterior that weighted each frame's SPP, the
     # classifier's or the generative one, as the mode chose.
     posteriors: np.ndarray
-    diagnostics: MixmaxDiagnostics = field(default_factory=MixmaxDiagnostics)
-    noise: NoiseModel | None = None
+    diagnostics: MixmaxDiagnostics
+    noise: NoiseModel
+
+    @property
+    def frames_processed(self) -> int:
+        return len(self.frame_mean_spp)
 
     @property
     def mean_spp(self) -> float:
@@ -198,11 +201,10 @@ def _run(
     del spp, logspecs
     out = reconstruct_frame(xhat, spec.frames)
     del xhat
-    y = istft(ComplexSpectrogram(frames=out, frame_length=cfg.frame_length, hop=spec.hop))
+    y = istft(ComplexSpectrogram(frames=out, frame_length=cfg.frame_length))
     pad = edge_padding(cfg.frame_length)
     enhanced = Waveform(samples=y[pad:pad + len(w)], sample_rate=w.sample_rate)
     report = EnhancementReport(
-        frames_processed=spec.n_frames,
         frame_mean_spp=frame_mean_spp,
         posteriors=posteriors,
         diagnostics=diag,

@@ -35,19 +35,19 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def mel_filterbank(n_bins: int, sample_rate: int, n_filters: int = N_MEL_FILTERS) -> np.ndarray:
-    """Triangular filters on the mel scale, 0 Hz to Nyquist, shape (n_filters, n_bins).
+def mel_filterbank(n_bins: int, sample_rate: int) -> np.ndarray:
+    """Triangular filters on the mel scale, 0 Hz to Nyquist, shape (26, n_bins).
 
     Triangles are evaluated at the continuous bin-center frequencies, so no
     filter comes out empty even for short frames.
     """
     nyquist = sample_rate / 2.0
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_filters + 2)
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), N_MEL_FILTERS + 2)
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.linspace(0.0, nyquist, n_bins)
 
-    fb = np.zeros((n_filters, n_bins))
-    for j in range(n_filters):
+    fb = np.zeros((N_MEL_FILTERS, n_bins))
+    for j in range(N_MEL_FILTERS):
         lo, mid, hi = hz_points[j : j + 3]
         rising = (bin_freqs - lo) / (mid - lo)
         falling = (hi - bin_freqs) / (hi - mid)

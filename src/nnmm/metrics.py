@@ -13,21 +13,24 @@ SEGSNR_CEIL_DB = 35.0
 # silence and excluded from the segmental averages.
 SILENCE_MARGIN_DB = 40.0
 
+# Length of the non-overlapping segmental-SNR frames.
+SEGSNR_FRAME_MS = 32.0
+
 
 def _frame_energies(x: np.ndarray, frame: int) -> np.ndarray:
     n = len(x) // frame
     return np.sum(x[: n * frame].reshape(n, frame) ** 2, axis=1)
 
 
-def segmental_snr(clean: Waveform, enhanced: Waveform, frame_ms: float = 32.0) -> float:
+def segmental_snr(clean: Waveform, enhanced: Waveform) -> float:
     """Mean per-frame SNR in dB, clamped to [-10, 35], silence excluded.
 
-    Frames are non-overlapping; a frame counts as silent when its clean
-    energy is 40 dB below the loudest clean frame.
+    Frames are non-overlapping and 32 ms long; a frame counts as silent when
+    its clean energy is 40 dB below the loudest clean frame.
     """
     if len(clean) != len(enhanced) or clean.sample_rate != enhanced.sample_rate:
         raise ValueError("signals must share length and sample rate")
-    frame = max(1, int(round(frame_ms * 1e-3 * clean.sample_rate)))
+    frame = max(1, int(round(SEGSNR_FRAME_MS * 1e-3 * clean.sample_rate)))
 
     e_clean = _frame_energies(clean.samples, frame)
     e_err = _frame_energies(clean.samples - enhanced.samples, frame)

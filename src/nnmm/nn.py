@@ -101,21 +101,14 @@ def forward(net: NnClassifier, v: np.ndarray) -> np.ndarray:
 
 
 def _log_likelihood_arrays(w1, w2, inputs, targets) -> float:
+    """Summed log posterior of the target classes over the batch."""
     p = _forward_arrays(w1, w2, inputs)[0]
     picked = p[np.arange(len(targets)), targets]
     return float(np.sum(np.log(np.maximum(picked, LIKELIHOOD_FLOOR))))
 
 
-def log_likelihood(net: NnClassifier, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Summed log posterior of the target classes over the batch."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    targets = np.asarray(targets, dtype=np.intp)
-    if inputs.shape[0] != targets.shape[0] or targets.shape[0] == 0:
-        raise ValueError("batch must be nonempty with matching lengths")
-    return _log_likelihood_arrays(net.w1, net.w2, inputs, targets)
-
-
 def _gradient_arrays(w1, w2, inputs, targets):
+    """Analytic gradient of the summed log-likelihood w.r.t. (w1, w2)."""
     p, h = _forward_arrays(w1, w2, inputs)
 
     delta2 = -p
@@ -125,15 +118,6 @@ def _gradient_arrays(w1, w2, inputs, targets):
     g2 = np.column_stack([delta2.T @ h, delta2.sum(axis=0)])
     g1 = np.column_stack([delta1.T @ inputs, delta1.sum(axis=0)])
     return g1, g2
-
-
-def gradient(net: NnClassifier, inputs: np.ndarray, targets: np.ndarray):
-    """Analytic gradient of the summed log-likelihood w.r.t. (w1, w2)."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    targets = np.asarray(targets, dtype=np.intp)
-    if inputs.shape[0] != targets.shape[0] or targets.shape[0] == 0:
-        raise ValueError("batch must be nonempty with matching lengths")
-    return _gradient_arrays(net.w1, net.w2, inputs, targets)
 
 
 def classify(net: NnClassifier, inputs: np.ndarray) -> np.ndarray:

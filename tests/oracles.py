@@ -113,7 +113,7 @@ def stft_by_gather(w, frame_length=512):
     win = analysis_window(frame_length)
     idx = np.arange(frame_length)[None, :] + hop * np.arange(n)[:, None]
     frames = np.fft.rfft(xp[idx] * win, axis=1)
-    return ComplexSpectrogram(frames=frames, frame_length=frame_length, hop=hop)
+    return ComplexSpectrogram(frames=frames, frame_length=frame_length)
 
 
 def istft_by_frame(s):
@@ -166,10 +166,9 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
             noise = adapt(noise, z, spp, cfg.alpha)
         out[t] = reconstruct_frame(xhat, spec.frames[t])
 
-    y = istft_by_frame(ComplexSpectrogram(frames=out, frame_length=cfg.frame_length, hop=spec.hop))
+    y = istft_by_frame(ComplexSpectrogram(frames=out, frame_length=cfg.frame_length))
     pad = edge_padding(cfg.frame_length)
     report = EnhancementReport(
-        frames_processed=spec.n_frames,
         frame_mean_spp=frame_mean_spp,
         posteriors=posteriors,
         diagnostics=diag,

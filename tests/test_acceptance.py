@@ -34,7 +34,13 @@ from nnmm.mixmax import (
     speech_terms,
 )
 from nnmm.mog import PhonemeMog, classify_frames, train_supervised
-from nnmm.nn import classify_accuracy, gradient, init_classifier, log_likelihood, train
+from nnmm.nn import (
+    _gradient_arrays,
+    _log_likelihood_arrays,
+    classify_accuracy,
+    init_classifier,
+    train,
+)
 from nnmm.noise import NoiseModel, adapt
 from nnmm.serialize import ModelBundle, load_bundle, save_bundle
 
@@ -166,18 +172,18 @@ def test_c03_speech_dominance_matches_monte_carlo(scalar_mc):
 
 
 def test_c04_gradient_matches_central_differences():
-    """50 random weight coordinates on a 16-sample batch, rel. error < 1e-4."""
+    """50 random weight coordinates on a 16-sample batch, rel. error < 1e-4.
+
+    Checks the gradient and log-likelihood functions that ``train`` runs."""
     rng = np.random.default_rng(4)
     net = init_classifier(20, 4, n_hidden=12, seed=11)
     inputs = rng.normal(size=(16, 20))
     targets = rng.integers(0, 4, size=16)
-    g1, g2 = gradient(net, inputs, targets)
+    g1, g2 = _gradient_arrays(net.w1, net.w2, inputs, targets)
     eps = 1e-5
 
     def ll(w1, w2):
-        from nnmm.nn import NnClassifier
-
-        return log_likelihood(NnClassifier(w1=w1, w2=w2), inputs, targets)
+        return _log_likelihood_arrays(w1, w2, inputs, targets)
 
     for _ in range(50):
         which = rng.integers(0, 2)

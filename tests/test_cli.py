@@ -228,6 +228,38 @@ class TestExitCodes:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [["--frame-length", "511"], ["--frame-length", "6"],
+                                       ["--frame-length", "0"], ["--classes", "1"],
+                                       ["--utterances", "0"]],
+                             ids=["odd", "short", "zero", "one-class", "no-utterances"])
+    def test_synth_corpus_bad_setting_is_usage_error(self, tmp_path, capsys, flags):
+        """Settings no later command could use are refused before any file
+        is written."""
+        out = tmp_path / "corpus"
+        assert main(["synth-corpus", "--out", str(out), "--utterances", "1", *flags]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meta", ["n_utterances=6\nn_classes=3\nframe_length=512\n",
+                                      "n_utterances=0\nn_classes=3\nframe_length=512\n"
+                                      "sample_rate=16000\n",
+                                      "n_utterances=6\nn_classes=3\nframe_length=512\n"
+                                      "sample_rate=16k\n"],
+                             ids=["no-sample-rate", "no-utterances", "not-an-integer"])
+    @pytest.mark.parametrize("command", ["evaluate", "train-mog"])
+    def test_malformed_corpus_meta_is_data_error(self, workspace, tmp_path, capsys,
+                                                 meta, command):
+        """A meta file without sample_rate, with no utterances or with a
+        value that is not an integer is named in a data error."""
+        _, _, _, full = workspace
+        bad = tmp_path / "corpus"
+        bad.mkdir()
+        (bad / "corpus.meta").write_text(meta)
+        argv = {"evaluate": ["evaluate", "--bundle", str(full), "--snr", "5"],
+                "train-mog": ["train-mog"]}[command]
+        assert main([*argv, "--corpus", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "corpus.meta" in capsys.readouterr().err
+
     def test_evaluate_frame_length_flag_is_usage_error(self, workspace, tmp_path, capsys):
         """The bundle fixes the frame length; evaluate has no flag for it."""
         _, corpus, _, full = workspace

@@ -134,7 +134,7 @@ class TestNoise:
         assert np.array_equal(a.samples, b.samples)
 
     def test_step_noise_level_jump(self):
-        w = step_white_noise(20000, 16000, seed=1, step_fraction=0.5, step_db=10.0)
+        w = step_white_noise(20000, 16000, seed=1, step_db=10.0)
         before = np.std(w.samples[:10000])
         after = np.std(w.samples[10000:])
         assert abs(20 * np.log10(after / before) - 10.0) < 0.5

@@ -131,13 +131,13 @@ class TestAgainstFrameLoops:
 
 class TestLogMagnitude:
     def test_floor_applied(self):
-        s = ComplexSpectrogram(frames=np.zeros((2, 5), dtype=complex), frame_length=8, hop=2)
+        s = ComplexSpectrogram(frames=np.zeros((2, 5), dtype=complex), frame_length=8)
         np.testing.assert_allclose(log_spectra(s), np.log(1e-10))
 
     def test_matches_naive(self):
         rng = np.random.default_rng(3)
         fr = rng.standard_normal((3, 257)) + 1j * rng.standard_normal((3, 257))
-        s = ComplexSpectrogram(frames=fr, frame_length=512, hop=128)
+        s = ComplexSpectrogram(frames=fr, frame_length=512)
         np.testing.assert_allclose(log_spectra(s), np.log(np.abs(fr)))
 
     def test_log_spectra_stacks_frames(self):
@@ -193,12 +193,6 @@ class TestWavIO:
 
 
 class TestSpectrogramValidation:
-    def test_bad_hop_rejected(self):
-        with pytest.raises(ValueError, match="hop"):
-            ComplexSpectrogram(frames=np.zeros((3, 257), dtype=complex),
-                               frame_length=512, hop=256)
-
     def test_bad_bin_count_rejected(self):
         with pytest.raises(ValueError, match="bins"):
-            ComplexSpectrogram(frames=np.zeros((3, 200), dtype=complex),
-                               frame_length=512, hop=128)
+            ComplexSpectrogram(frames=np.zeros((3, 200), dtype=complex), frame_length=512)

@@ -206,7 +206,7 @@ class TestComposition:
 
         frames = np.array([reconstruct_frame(manual[t], spec.frames[t])
                            for t in range(spec.n_frames)])
-        y = istft(ComplexSpectrogram(frames=frames, frame_length=512, hop=spec.hop))
+        y = istft(ComplexSpectrogram(frames=frames, frame_length=512))
         pad = edge_padding(512)
         expected = y[pad:pad + len(noisy)]
 
