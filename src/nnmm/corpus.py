@@ -263,8 +263,12 @@ def load_corpus(path: str):
     utterances = []
     for i in range(meta["n_utterances"]):
         wav = read_wav(os.path.join(path, f"utt_{i:04d}.wav"), expected_rate=meta["sample_rate"])
-        labels = np.loadtxt(os.path.join(path, f"utt_{i:04d}.labels"), dtype=np.intp, ndmin=1)
+        labels_path = os.path.join(path, f"utt_{i:04d}.labels")
+        labels = np.loadtxt(labels_path, dtype=np.intp, ndmin=1)
         if len(labels) != num_frames(len(wav), meta["frame_length"]):
             raise ValueError(f"utt_{i:04d}: label count does not match frame count")
+        outside = labels[(labels < 0) | (labels >= meta["n_classes"])]
+        if outside.size:
+            raise ValueError(f"{labels_path}: label {outside[0]} outside [0, {meta['n_classes']})")
         utterances.append(LabeledUtterance(waveform=wav, frame_labels=labels))
     return utterances, meta

@@ -20,9 +20,17 @@ side, g and G, changes as the noise model adapts: :func:`speech_dominance`
 forms it for one frame and combines both sides into ``(rho, h)``, with the
 same code as :func:`max_density`.  :func:`generative_posterior`,
 :func:`hybrid_spp` and :func:`mmse_estimate` take those results instead of
-recomputing them, and the enhancer calls exactly these functions, so the
-quadrature and Monte-Carlo checks of this module verify the production
-path.  All functions are pure; models are immutable.
+recomputing them.  The enhancer calls exactly these functions, except that
+it checks all posteriors at once and then calls the unchecked weighted sums
+:func:`weighted_spp` and :func:`weighted_mmse`, which the two checked
+functions wrap; so the quadrature and Monte-Carlo checks of this module
+verify the production path.
+
+The functions the enhancer calls also take a batch of frames, one per
+enhancer row: ``z`` and the noise model of shape (B, 1, K), the
+per-component arrays (B, m, K) and the posteriors (B, 1, m).  Counters then
+go to a list of diagnostics, one per row.  All functions are pure, apart
+from those counters; models are immutable.
 """
 
 from __future__ import annotations
@@ -49,6 +57,19 @@ class MixmaxDiagnostics:
     @property
     def total(self) -> int:
         return self.undecidable_bins + self.tail_fallbacks
+
+
+def _per_row(diag: MixmaxDiagnostics | list[MixmaxDiagnostics], mask: np.ndarray):
+    """Pairs of diagnostics and the number of True entries of ``mask`` it
+    takes.
+
+    One ``MixmaxDiagnostics`` takes them all.  A list holds one per batch
+    row, and axis -3 of ``mask``, the axis before a frame's (m, K), indexes
+    the rows; every other axis is summed.
+    """
+    rows = diag if isinstance(diag, list) else [diag]
+    stacked = mask.reshape(-1, len(rows), *mask.shape[-2:])
+    return zip(rows, np.count_nonzero(stacked, axis=(0, 2, 3)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +107,16 @@ def speech_dominance(
     z: np.ndarray,
     speech: tuple[np.ndarray, np.ndarray],
     noise: NoiseModel,
-    diag: MixmaxDiagnostics | None = None,
+    diag: MixmaxDiagnostics | list[MixmaxDiagnostics] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(speech exceeds noise | observation, component) and the max density.
 
     ``speech`` is :func:`speech_terms` of the same frame ``z``.  Returns
-    ``(rho, h)``, both of shape (m, K): ``h`` is :func:`max_density` for
-    every component and bin, the one place the per-frame densities are
-    combined.  Bins where ``h`` itself underflows carry no information
-    either way; their ``rho`` comes back as 0.5 and is counted in ``diag``.
+    ``(rho, h)``, both of shape (m, K), or (B, m, K) for a batch: ``h`` is
+    :func:`max_density` for every component and bin, the one place the
+    per-frame densities are combined.  Bins where ``h`` itself underflows
+    carry no information either way; their ``rho`` comes back as 0.5 and is
+    counted in ``diag``.
 
     One ``h.min()`` test picks the path.  When no bin underflows, ``rho`` is
     ``f G / h`` with no further check: ``f G <= h`` and both are
@@ -106,7 +128,8 @@ def speech_dominance(
     if h.min() < DENSITY_FLOOR:
         undecidable = h < DENSITY_FLOOR
         if diag is not None:
-            diag.undecidable_bins += int(np.count_nonzero(undecidable))
+            for d, n in _per_row(diag, undecidable):
+                d.undecidable_bins += n
         rho = np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h))
         return np.clip(rho, 0.0, 1.0), h
     numer /= h
@@ -114,26 +137,29 @@ def speech_dominance(
 
 
 def generative_posterior(h: np.ndarray, mog: PhonemeMog) -> np.ndarray:
-    """Component posterior p(i | z) under the max-model mixture, length m.
+    """Component posterior p(i | z) under the max-model mixture, length m,
+    or (B, m) for a batch.
 
     ``h`` is the (m, K) density from :func:`speech_dominance`; bins are
     treated as independent, so each component's joint log-density is the
     sum of its per-bin logs.  Computed in the log domain with
     max-subtraction.  ``h`` is floored at ``DENSITY_FLOOR`` before the log,
     so the scores are finite for any finite observation; a NaN observation
-    gives a NaN posterior, which :func:`hybrid_spp` rejects.
+    gives a NaN posterior, which :func:`check_posteriors` rejects.
     """
     floored = np.maximum(h, DENSITY_FLOOR)
-    log_joint = np.log(floored, out=floored).sum(axis=1)
-    scores = np.log(mog.weights) + log_joint
-    w = np.exp(scores - np.max(scores))
-    return w / np.sum(w)
+    scores = np.log(floored, out=floored).sum(axis=-1)
+    scores += np.log(mog.weights)
+    scores -= scores.max(axis=-1, keepdims=True)
+    w = np.exp(scores, out=scores)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def conditional_mean_below(
     z: np.ndarray,
     mog: PhonemeMog,
-    diag: MixmaxDiagnostics | None = None,
+    diag: MixmaxDiagnostics | list[MixmaxDiagnostics] | None = None,
 ) -> np.ndarray:
     """E[X_k | X_k < z_k, component i] for all i, k; shape (..., m, K).
 
@@ -155,17 +181,54 @@ def conditional_mean_below(
 
     fallback = (log_cdf < LOG_DENSITY_FLOOR) | ~np.isfinite(mean)
     if diag is not None:
-        diag.tail_fallbacks += int(np.count_nonzero(fallback))
+        for d, n in _per_row(diag, fallback):
+            d.tail_fallbacks += n
     return np.where(fallback, z - mog.stds, mean)
+
+
+def check_posteriors(p: np.ndarray) -> None:
+    """Reject posteriors that are not probability vectors along the last
+    axis: a negative entry, or a sum more than 1e-9 from 1 (NaN fails both).
+
+    Checks every row of a stack in one pass, so a caller that holds all of
+    an utterance's posteriors checks them once.
+    """
+    if not (p.min() >= 0 and np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-9):
+        raise ValueError("posterior must be a probability vector")
 
 
 def _check_posterior(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (rho.shape[0],):
         raise ValueError("posterior length must match component count")
-    if not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails both
-        raise ValueError("posterior must be a probability vector")
+    check_posteriors(p)
     return p
+
+
+def weighted_spp(posterior: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """:func:`hybrid_spp` without the posterior check.
+
+    Shapes (m,) and (m, K) give (K,); a batch (B, 1, m) and (B, m, K)
+    gives (B, 1, K), one ``matmul``, which rounds as the single frame does.
+    """
+    spp = np.matmul(posterior, rho)
+    return np.minimum(spp, 1.0, out=spp)
+
+
+def weighted_mmse(
+    z: np.ndarray,
+    posterior: np.ndarray,
+    rho: np.ndarray,
+    below: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mmse_estimate` without the posterior check; shapes as in
+    :func:`weighted_spp`, with ``z`` (K,) or (B, 1, K)."""
+    spp = weighted_spp(posterior, rho)
+    per_component = rho * z
+    rest = 1.0 - rho
+    rest *= below
+    per_component += rest
+    return np.matmul(posterior, per_component), spp
 
 
 def mmse_estimate(
@@ -182,15 +245,11 @@ def mmse_estimate(
     x̂ = rho·z + (1−rho)·E[X | X < z], with ``rho`` from
     :func:`speech_dominance` and ``below`` from :func:`conditional_mean_below`.
     The second result is the SPP, :func:`hybrid_spp` of the same posterior
-    and ``rho``.  That call checks the posterior, so a caller that needs
-    both checks each frame's posterior once.
+    and ``rho``.  The posterior is checked once, as :func:`hybrid_spp`
+    checks it.
     """
-    spp = hybrid_spp(posterior, rho)
-    per_component = rho * np.asarray(z, dtype=np.float64)[np.newaxis, :]
-    rest = 1.0 - rho
-    rest *= below
-    per_component += rest
-    return np.dot(np.asarray(posterior, dtype=np.float64), per_component), spp
+    p = _check_posterior(posterior, rho)
+    return weighted_mmse(np.asarray(z, dtype=np.float64), p, rho, below)
 
 
 def hybrid_spp(p_nn: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -202,8 +261,7 @@ def hybrid_spp(p_nn: np.ndarray, rho: np.ndarray) -> np.ndarray:
     and ``rho >= 0`` make every sum non-negative, so only the upper end is
     clamped, against rounding above 1.
     """
-    spp = np.dot(_check_posterior(p_nn, rho), rho)
-    return np.minimum(spp, 1.0, out=spp)
+    return weighted_spp(_check_posterior(p_nn, rho), rho)
 
 
 def soft_subtract(z: np.ndarray, spp: np.ndarray, beta: float) -> np.ndarray:
@@ -211,6 +269,8 @@ def soft_subtract(z: np.ndarray, spp: np.ndarray, beta: float) -> np.ndarray:
 
     Fully speech-dominated bins pass through untouched; fully noise-dominated
     bins are attenuated by the flat reduction level β (natural-log units).
+    The result is formed in place as z + (rho−1)·β, one array and no
+    temporary; negation is exact, so it rounds as the formula above.
     """
     z = np.asarray(z, dtype=np.float64)
     rho = np.asarray(spp, dtype=np.float64)
@@ -218,4 +278,7 @@ def soft_subtract(z: np.ndarray, spp: np.ndarray, beta: float) -> np.ndarray:
         raise ValueError("observation and SPP lengths differ")
     if beta < 0:
         raise ValueError("noise-reduction level must be >= 0")
-    return z - (1.0 - rho) * beta
+    out = np.subtract(rho, 1.0)
+    out *= beta
+    out += z
+    return out

@@ -16,7 +16,11 @@ from .gauss import SIGMA_FLOOR
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-bin mean and std-dev of the noise log-spectrum, shapes (K,)."""
+    """Per-bin mean and std-dev of the noise log-spectrum, shapes (K,).
+
+    The enhancer's batched recursion holds the models of B rows as one, of
+    shapes (B, 1, K); bins are always the last axis.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -26,8 +30,8 @@ class NoiseModel:
         sigma = np.asarray(self.sigma, dtype=np.float64)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-        if mu.shape != sigma.shape or mu.ndim != 1:
-            raise ValueError("mu and sigma must be 1-D and equal length")
+        if mu.shape != sigma.shape or mu.ndim == 0:
+            raise ValueError("mu and sigma must have one shape, with bins on the last axis")
         if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise ValueError("noise parameters must be finite")
         if (sigma < SIGMA_FLOOR).any():
@@ -44,13 +48,16 @@ class NoiseModel:
 
     @property
     def n_bins(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
 
 def init_from_prefix(frames: np.ndarray) -> NoiseModel:
-    """Sample mean and unbiased std over noise-only prefix frames, (N, K)."""
+    """Sample mean and unbiased std over noise-only prefix frames, (N, K).
+
+    Frames of a batch, (N, B, 1, K), give the (B, 1, K) model of the B rows.
+    """
     x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
+    if x.ndim < 2 or x.shape[0] < 2:
         raise ValueError("insufficient noise-only prefix: need at least 2 frames")
     return NoiseModel(
         mu=x.mean(axis=0),

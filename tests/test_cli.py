@@ -1,6 +1,7 @@
 """Command-line workflow: corpus -> models -> enhancement -> evaluation."""
 
 import csv
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from nnmm.cli import UsageError, main, parse_config_file
 from nnmm.corpus import load_corpus, mix_at_snr, step_white_noise, white_noise
 from nnmm.dsp import read_wav, stft
-from nnmm.enhancer import EnhancerConfig
+from nnmm.enhancer import BATCH_ROWS, EnhancerConfig, enhance_utterance
 from nnmm.features import feature_matrix
+from nnmm.metrics import log_spectral_distance, segmental_snr
 from nnmm.nn import classify_accuracy
 from nnmm.serialize import load_bundle
 
@@ -120,6 +122,42 @@ class TestWorkflow:
                                            clean.sample_rate)
                     expected.append(round(classify_accuracy(net, feats, utt.frame_labels), 4))
         assert [float(r["accuracy"]) for r in rows] == expected
+
+    def test_evaluate_batches_equal_one_row_runs(self, workspace, tmp_path):
+        """A grid of more rows than one recursion takes writes the rows that
+        enhance_utterance gives one row at a time."""
+        _, corpus, _, full = workspace
+        one = tmp_path / "corpus"
+        shutil.copytree(corpus, one)
+        meta = (one / "corpus.meta").read_text()
+        (one / "corpus.meta").write_text(meta.replace("n_utterances=6", "n_utterances=1"))
+        csv_path = tmp_path / "grid.csv"
+        assert main(["evaluate", "--bundle", str(full), "--corpus", str(one),
+                     "--out", str(csv_path), "--snr=-5,0,5,10,15", "--noise", "white,step",
+                     "--seed", "3"]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+
+        bundle = load_bundle(full)
+        utt = load_corpus(one)[0][0]
+        clean = utt.waveform
+        expected = []
+        for kind, maker in (("white", white_noise), ("step", step_white_noise)):
+            for snr in (-5.0, 0.0, 5.0, 10.0, 15.0):
+                noise = maker(len(clean), clean.sample_rate, seed=3 + len(expected))
+                noisy = mix_at_snr(clean, noise, snr)
+                out, report = enhance_utterance(noisy, bundle.mog, bundle.net, EnhancerConfig())
+                accuracy = np.mean(report.posteriors.argmax(axis=1) == utt.frame_labels)
+                expected.append({key: str(value) for key, value in {
+                    "utterance": "utt_0000", "noise": kind, "snr_db": snr,
+                    "segsnr_in": round(segmental_snr(clean, noisy), 4),
+                    "segsnr_out": round(segmental_snr(clean, out), 4),
+                    "lsd": round(log_spectral_distance(clean, out, 512), 4),
+                    "mean_spp": round(report.mean_spp, 4),
+                    "accuracy": round(float(accuracy), 4),
+                }.items()})
+        assert len(rows) == 10 > BATCH_ROWS
+        assert rows == expected
 
     def test_train_mog_em_runs(self, workspace):
         root, corpus, _, _ = workspace
@@ -259,6 +297,20 @@ class TestExitCodes:
                 "train-mog": ["train-mog"]}[command]
         assert main([*argv, "--corpus", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "corpus.meta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [7, -1], ids=["too-large", "negative"])
+    def test_label_outside_classes_is_data_error(self, workspace, tmp_path, capsys, label):
+        """A frame label outside [0, n_classes) is named with its file, not
+        left to fail later in training."""
+        _, corpus, _, _ = workspace
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        labels = (bad / "utt_0002.labels").read_text().split("\n")
+        labels[3] = str(label)
+        (bad / "utt_0002.labels").write_text("\n".join(labels))
+        assert main(["train-mog", "--corpus", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "utt_0002.labels" in err and f"label {label} outside [0, 3)" in err
 
     def test_evaluate_frame_length_flag_is_usage_error(self, workspace, tmp_path, capsys):
         """The bundle fixes the frame length; evaluate has no flag for it."""

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nnmm.enhancer as enhancer
 from nnmm.corpus import (
     SyntheticCorpusSpec,
     assemble_frames,
     default_envelopes,
     mix_at_snr,
+    step_white_noise,
     synthesize_corpus,
     white_noise,
 )
@@ -22,6 +26,7 @@ from nnmm.dsp import (
 )
 from nnmm.enhancer import (
     EnhancerConfig,
+    enhance_batch,
     enhance_mixmax_original,
     enhance_utterance,
     noise_prefix_frames,
@@ -37,7 +42,7 @@ from nnmm.mixmax import (
     speech_terms,
 )
 from nnmm.mog import train_supervised
-from nnmm.nn import forward, train
+from nnmm.nn import NnClassifier, forward, train
 from nnmm.noise import adapt, init_from_prefix
 
 from oracles import enhance_by_frame
@@ -312,8 +317,6 @@ class TestHoisting:
     def test_noise_independent_work_runs_once(self, setup, monkeypatch):
         """One utterance: one NN forward, one subtraction and one
         reconstruction over all frames; dominance and adaptation per frame."""
-        import nnmm.enhancer as enhancer
-
         mog, net, _, noisy = setup
         calls = {}
         for name in ("forward", "reconstruct_frame", "soft_subtract",
@@ -328,6 +331,111 @@ class TestHoisting:
         assert n > enhancer.SPEECH_BLOCK  # more than one block of frames
         assert calls == {"forward": 1, "reconstruct_frame": 1, "soft_subtract": 1,
                          "speech_dominance": n, "adapt": n}
+
+
+# ---------------------------------------------------------------------------
+# Batched rows against one-row runs
+# ---------------------------------------------------------------------------
+
+
+def noisy_rows(clean, rows):
+    """One noisy copy of ``clean`` per (noise seed, SNR, step noise, silence
+    gap) row."""
+    waves = []
+    for seed, snr, step, gap in rows:
+        maker = step_white_noise if step else white_noise
+        w = mix_at_snr(clean, maker(len(clean), clean.sample_rate, seed=seed), snr)
+        waves.append(with_silence_gap(w) if gap else w)
+    return waves
+
+
+def assert_same_row(got, expected):
+    (y, report), (y_ref, ref) = got, expected
+    np.testing.assert_array_equal(y.samples, y_ref.samples)
+    np.testing.assert_array_equal(report.frame_mean_spp, ref.frame_mean_spp)
+    np.testing.assert_array_equal(report.posteriors, ref.posteriors)
+    np.testing.assert_array_equal(report.noise.mu, ref.noise.mu)
+    np.testing.assert_array_equal(report.noise.sigma, ref.noise.sigma)
+    assert report.diagnostics == ref.diagnostics
+
+
+REFERENCE = EnhancerConfig(estimator="mixmax-mmse", posterior_source="generative")
+
+
+class TestBatching:
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(rows=st.lists(st.tuples(st.integers(0, 10_000),
+                                   st.sampled_from([-5.0, 0.0, 7.5, 20.0]),
+                                   st.booleans(), st.booleans()),
+                         min_size=1, max_size=4))
+    def test_rows_equal_their_one_row_runs(self, setup, rows):
+        """Each row of one recursion equals that row run alone, bit for bit,
+        in every mode and in the reference mode."""
+        mog, net, clean, _ = setup
+        waves = noisy_rows(Waveform(samples=clean.samples[:20000], sample_rate=16000), rows)
+        for estimator, posterior_source in MODES:
+            cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
+            for got, w in zip(enhance_batch(waves, mog, net, cfg), waves, strict=True):
+                assert_same_row(got, enhance_utterance(w, mog, net, cfg))
+        batched = enhancer._run(waves, mog, None, REFERENCE, adapt_noise=False)
+        for got, w in zip(batched, waves, strict=True):
+            assert_same_row(got, enhancer._run([w], mog, None, REFERENCE, adapt_noise=False)[0])
+            np.testing.assert_array_equal(
+                got[0].samples, enhance_mixmax_original(w, mog, EnhancerConfig()).samples)
+
+    def test_rows_keep_their_own_counters(self, setup):
+        """A silence-gap row beside a plain one: each counts its own
+        fallbacks, as it does alone."""
+        mog, net, _, noisy = setup
+        waves = [with_silence_gap(noisy), noisy]
+        cfg = EnhancerConfig(estimator="mixmax-mmse")
+        alone = [enhance_utterance(w, mog, net, cfg)[1].diagnostics for w in waves]
+        assert [r.diagnostics for _, r in enhance_batch(waves, mog, net, cfg)] == alone
+        assert alone[0].undecidable_bins > alone[1].undecidable_bins
+        assert alone[0].tail_fallbacks > alone[1].tail_fallbacks
+
+    def test_one_recursion_for_all_rows(self, setup, monkeypatch):
+        """Three rows: dominance and adaptation once per frame for all of
+        them; the forward pass and reconstruction once per row."""
+        mog, net, _, noisy = setup
+        calls = {}
+        for name in ("forward", "reconstruct_frame", "soft_subtract",
+                     "speech_dominance", "adapt"):
+            def counted(*args, _fn=getattr(enhancer, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(enhancer, name, counted)
+
+        waves = noisy_rows(noisy, [(1, 0.0, False, False), (2, 5.0, True, False),
+                                   (3, 10.0, False, True)])
+        pairs = enhance_batch(waves, mog, net, EnhancerConfig())
+        n = pairs[0][1].frames_processed
+        assert calls == {"forward": 3, "reconstruct_frame": 3, "soft_subtract": 1,
+                         "speech_dominance": n, "adapt": n}
+
+    def test_posteriors_checked_before_the_recursion(self, setup, monkeypatch):
+        """A classifier weight that turned NaN after construction gives NaN
+        posteriors; they are rejected before the first frame runs."""
+        mog, net, _, noisy = setup
+        bad = NnClassifier(w1=net.w1.copy(), w2=net.w2.copy())
+        bad.w2[0, 0] = np.nan
+        frames = []
+        monkeypatch.setattr(enhancer, "speech_dominance", lambda *args: frames.append(args))
+        with pytest.raises(ValueError, match="probability"):
+            enhance_utterance(noisy, mog, bad, EnhancerConfig())
+        assert frames == []
+
+    def test_rows_must_match(self, setup):
+        """An empty batch, and rows of another length or sample rate, are
+        refused."""
+        mog, net, _, noisy = setup
+        head = Waveform(samples=noisy.samples[:16000], sample_rate=16000)
+        shorter = Waveform(samples=noisy.samples[:15999], sample_rate=16000)
+        slower = Waveform(samples=head.samples, sample_rate=8000)
+        for waves, message in (([], "at least one"), ([head, shorter], "share length"),
+                               ([head, slower], "sample rate")):
+            with pytest.raises(ValueError, match=message):
+                enhance_batch(waves, mog, net, EnhancerConfig())
 
 
 # ---------------------------------------------------------------------------
