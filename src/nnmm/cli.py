@@ -28,6 +28,7 @@ from .dsp import log_spectra, read_wav, stft, write_wav
 from .enhancer import (
     ESTIMATORS,
     POSTERIOR_SOURCES,
+    REFERENCE_MODE,
     EnhancerConfig,
     enhance_batch,
     enhance_mixmax_original,
@@ -88,15 +89,35 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def build_enhancer_config(args, frame_length: int) -> EnhancerConfig:
-    """Merge defaults < config file < explicit flags into an EnhancerConfig
-    with the bundle's frame length."""
+def _enhancer_settings(args) -> dict:
+    """The enhancer settings given, config file < explicit flags; values
+    not yet typed, and settings left at their default absent."""
     merged = parse_config_file(args.config) if args.config else {}
     for key in CONFIG_TYPES:
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
+    return merged
+
+
+def _check_reference_settings(settings: dict) -> None:
+    """Refuse settings the fixed-noise reference mode cannot honour: it has
+    no noise adaptation (alpha) and no soft subtraction (beta), and its
+    estimator and posterior source are fixed."""
+    for key in ("alpha", "beta"):
+        if key in settings:
+            raise UsageError(f"--fixed-noise cannot honour {key}={settings[key]}: "
+                             "the reference mode neither adapts the noise nor subtracts")
+    for key, fixed in REFERENCE_MODE.items():
+        if settings.get(key, fixed) != fixed:
+            raise UsageError(f"--fixed-noise cannot honour {key}={settings[key]}: "
+                             f"the reference mode always uses {fixed}")
+
+
+def build_enhancer_config(settings: dict, frame_length: int) -> EnhancerConfig:
+    """An EnhancerConfig from :func:`_enhancer_settings` and the bundle's
+    frame length; unset fields keep their defaults."""
     try:
-        typed = {key: CONFIG_TYPES[key](value) for key, value in merged.items()}
+        typed = {key: CONFIG_TYPES[key](value) for key, value in settings.items()}
         return EnhancerConfig(frame_length=frame_length, **typed)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
@@ -208,8 +229,11 @@ def cmd_train_nn(args) -> int:
 
 
 def cmd_enhance(args) -> int:
+    settings = _enhancer_settings(args)
+    if args.fixed_noise:
+        _check_reference_settings(settings)
     bundle = load_bundle(args.bundle)
-    cfg = build_enhancer_config(args, frame_length=bundle.frame_length)
+    cfg = build_enhancer_config(settings, frame_length=bundle.frame_length)
     wav = read_wav(args.infile, expected_rate=bundle.sample_rate)
     if args.fixed_noise:
         out = enhance_mixmax_original(wav, bundle.mog, cfg)
@@ -246,7 +270,7 @@ def cmd_classify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     bundle = load_bundle(args.bundle)
-    cfg = build_enhancer_config(args, frame_length=bundle.frame_length)
+    cfg = build_enhancer_config(_enhancer_settings(args), frame_length=bundle.frame_length)
     if cfg.posterior_source == "nn" and bundle.net is None:
         raise ValueError(
             "bundle has no classifier; run train-nn or use --posterior generative"

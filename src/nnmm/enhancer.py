@@ -6,10 +6,17 @@ Only the noise estimate is recursive, so an utterance runs in three parts:
   log-spectra, MFCC features and the classifier's posteriors in one batched
   forward pass, and, a block of frames at a time, the speech side of the
   max model (and, for the MMSE estimator, the truncated means);
-* the recursion, in time order: per frame only the noise side of the
-  dominance, the generative posterior where the mode uses it, the SPP (and
-  the MMSE estimate), and the SPP-gated noise update;
+* the recursion, in time order: the noise side of the dominance, the
+  generative posterior where the mode uses it, the SPP (and the MMSE
+  estimate), and the SPP-gated noise update;
 * soft subtraction, reconstruction and overlap-add over all frames at once.
+
+The recursion steps one frame at a time when the noise adapts, since each
+frame reads the model the one before it updated.  With the noise model
+fixed, as in the reference mode, no frame depends on another, so each step
+takes a whole block of frames, (T, B, ...) arrays, through the same
+functions; the results are the per-frame ones bit for bit, with a Python
+call per block instead of per frame.
 
 The recursion runs B equal-length utterances, the rows of a batch,
 together: :func:`enhance_batch` takes them, and :func:`enhance_utterance`
@@ -64,12 +71,15 @@ from .noise import NoiseModel, adapt, init_from_prefix
 
 ESTIMATORS = ("soft-subtraction", "mixmax-mmse")
 POSTERIOR_SOURCES = ("nn", "generative")
+# The settings the fixed-noise reference mode always runs with.
+REFERENCE_MODE = {"estimator": "mixmax-mmse", "posterior_source": "generative"}
 
-# Frame-rows whose speech-side terms are formed together: a block is
-# SPEECH_BLOCK // B frames of all B rows.  Each block holds a few
-# (frames, B, m, K) arrays, so memory grows with neither the utterance nor
-# the batch; 16 frame-rows already amortize the per-call overhead, and
-# larger blocks only raise peak memory.
+# Frame-rows whose speech-side terms are formed together, and, with the
+# noise fixed, that one recursion step takes: a block is SPEECH_BLOCK // B
+# frames of all B rows.  Each block holds a few (frames, B, m, K) arrays, so
+# memory grows with neither the utterance nor the batch; 16 frame-rows
+# already amortize the per-call overhead, and larger blocks only raise peak
+# memory.
 SPEECH_BLOCK = 16
 
 # Most rows one recursion runs.  In a mock-up of the per-frame noise-side
@@ -209,21 +219,25 @@ def _run(
 
     block = max(1, SPEECH_BLOCK // n_rows)
     for first in range(0, n_frames, block):
-        zs = logspecs[first:first + block]
+        at = slice(first, first + block)
+        zs, ps, spps = logspecs[at], posteriors[at], spp[at]
         f, big_f = speech_terms(zs[:, :, 0], mog)
         if mmse:
             below = conditional_mean_below(zs[:, :, 0], mog, diags)
-        for i, z in enumerate(zs):
-            t = first + i
+            xhats = xhat[at]
+        # A step is one frame when the noise adapts, since the next frame
+        # reads the updated model, and the whole block when it is fixed.
+        for i in range(len(zs)) if adapt_noise else (slice(None),):
+            z = zs[i]
             rho, h = speech_dominance(z, (f[i], big_f[i]), noise, diags)
             if generative:
-                posteriors[t, :, 0] = generative_posterior(h, mog)
+                ps[i, :, 0] = generative_posterior(h, mog)
             if mmse:
-                xhat[t], spp[t] = weighted_mmse(z, posteriors[t], rho, below[i])
+                xhats[i], spps[i] = weighted_mmse(z, ps[i], rho, below[i])
             else:
-                spp[t] = weighted_spp(posteriors[t], rho)
+                spps[i] = weighted_spp(ps[i], rho)
             if adapt_noise:
-                noise = adapt(noise, z, spp[t], cfg.alpha)
+                noise = adapt(noise, z, spps[i], cfg.alpha)
     if generative:
         check_posteriors(posteriors)
 
@@ -292,6 +306,6 @@ def enhance_mixmax_original(w: Waveform, mog: PhonemeMog, cfg: EnhancerConfig) -
     The noise model is initialized from the prefix and never updated, and no
     classifier is involved; only frame length and prefix are read from cfg.
     """
-    cfg = replace(cfg, estimator="mixmax-mmse", posterior_source="generative")
+    cfg = replace(cfg, **REFERENCE_MODE)
     [(enhanced, _)] = _run([w], mog, None, cfg, adapt_noise=False)
     return enhanced

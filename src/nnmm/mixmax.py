@@ -17,11 +17,12 @@ The density is split by what it depends on.  The speech side, f and F of
 every component at the observation, depends only on the noisy frame:
 :func:`speech_terms` forms it for any number of frames at once.  The noise
 side, g and G, changes as the noise model adapts: :func:`speech_dominance`
-forms it for one frame and combines both sides into ``(rho, h)``, with the
-same code as :func:`max_density`.  :func:`generative_posterior`,
-:func:`hybrid_spp` and :func:`mmse_estimate` take those results instead of
-recomputing them.  The enhancer calls exactly these functions, except that
-it checks all posteriors at once and then calls the unchecked weighted sums
+forms it for one frame, or for a block of frames under one noise model, and
+combines both sides into ``(rho, h)``, with the same code as
+:func:`max_density`.  :func:`generative_posterior`, :func:`hybrid_spp` and
+:func:`mmse_estimate` take those results instead of recomputing them.
+The enhancer calls exactly these functions, except that it checks all
+posteriors at once and then calls the unchecked weighted sums
 :func:`weighted_spp` and :func:`weighted_mmse`, which the two checked
 functions wrap; so the quadrature and Monte-Carlo checks of this module
 verify the production path.
@@ -29,8 +30,11 @@ verify the production path.
 The functions the enhancer calls also take a batch of frames, one per
 enhancer row: ``z`` and the noise model of shape (B, 1, K), the
 per-component arrays (B, m, K) and the posteriors (B, 1, m).  Counters then
-go to a list of diagnostics, one per row.  All functions are pure, apart
-from those counters; models are immutable.
+go to a list of diagnostics, one per row.  With the noise model fixed they
+also take a block of T such frames, a leading T axis on ``z``, the
+per-component arrays and the posteriors; the noise model stays (B, 1, K)
+and broadcasts.  All functions are pure, apart from those counters; models
+are immutable.
 """
 
 from __future__ import annotations
@@ -112,16 +116,19 @@ def speech_dominance(
     """P(speech exceeds noise | observation, component) and the max density.
 
     ``speech`` is :func:`speech_terms` of the same frame ``z``.  Returns
-    ``(rho, h)``, both of shape (m, K), or (B, m, K) for a batch: ``h`` is
-    :func:`max_density` for every component and bin, the one place the
-    per-frame densities are combined.  Bins where ``h`` itself underflows
+    ``(rho, h)``, both of shape (m, K), or (B, m, K) for a batch, or
+    (T, B, m, K) for a block of T batched frames under one noise model:
+    ``h`` is :func:`max_density` for every component and bin, the one place
+    the per-frame densities are combined.  Bins where ``h`` itself underflows
     carry no information either way; their ``rho`` comes back as 0.5 and is
     counted in ``diag``.
 
     One ``h.min()`` test picks the path.  When no bin underflows, ``rho`` is
     ``f G / h`` with no further check: ``f G <= h`` and both are
-    non-negative, so it already lies in [0, 1].  Only a frame with an
-    underflowing bin builds the mask, counts its bins and clips.
+    non-negative, so it already lies in [0, 1].  Only a frame (or block)
+    with an underflowing bin builds the mask, counts its bins and clips;
+    clipping leaves the other bins' ``f G / h`` as they are, so a block
+    rounds as its frames do one at a time.
     """
     numer, h = _max_terms(speech, np.asarray(z, dtype=np.float64), noise.mu, noise.sigma)
     h += numer
@@ -138,7 +145,7 @@ def speech_dominance(
 
 def generative_posterior(h: np.ndarray, mog: PhonemeMog) -> np.ndarray:
     """Component posterior p(i | z) under the max-model mixture, length m,
-    or (B, m) for a batch.
+    or (B, m) for a batch, or (T, B, m) for a block of batched frames.
 
     ``h`` is the (m, K) density from :func:`speech_dominance`; bins are
     treated as independent, so each component's joint log-density is the
@@ -168,22 +175,33 @@ def conditional_mean_below(
     lower tail stays finite.  Once F itself drops below the density floor
     the asymptote z − σ is used instead (counted in ``diag``); either way
     the result sits strictly below z.
+
+    Formed in place on three fresh arrays, in the order of
+    ``a = (z - mu) / sigma``, ``ratio = exp(-0.5 * a * a - log sqrt(2 pi)
+    - log F(a))`` and ``mu - sigma * ratio``, so it rounds as those
+    expressions do.
     """
     z = np.asarray(z, dtype=np.float64)[..., np.newaxis, :]
-    a = (z - mog.means) / mog.stds
+    a = np.subtract(z, mog.means)
+    a /= mog.stds
     log_cdf = log_ndtr(a)
+    fallback = log_cdf < LOG_DENSITY_FLOOR
     # log of the standard normal pdf at a, shifted by -log sigma for the
     # actual density; the sigma^2 * f/F term then reduces to sigma * ratio.
-    log_pdf = -0.5 * a * a - _LOG_SQRT_2PI
+    ratio = np.multiply(-0.5, a)
+    ratio *= a
+    ratio -= _LOG_SQRT_2PI
+    ratio -= log_cdf
     with np.errstate(over="ignore"):
-        ratio = np.exp(log_pdf - log_cdf)
-    mean = mog.means - mog.stds * ratio
+        np.exp(ratio, out=ratio)
+    ratio *= mog.stds
+    mean = np.subtract(mog.means, ratio, out=ratio)
 
-    fallback = (log_cdf < LOG_DENSITY_FLOOR) | ~np.isfinite(mean)
+    fallback |= ~np.isfinite(mean)
     if diag is not None:
         for d, n in _per_row(diag, fallback):
             d.tail_fallbacks += n
-    return np.where(fallback, z - mog.stds, mean)
+    return np.subtract(z, mog.stds, out=mean, where=fallback)
 
 
 def check_posteriors(p: np.ndarray) -> None:
@@ -209,7 +227,8 @@ def weighted_spp(posterior: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """:func:`hybrid_spp` without the posterior check.
 
     Shapes (m,) and (m, K) give (K,); a batch (B, 1, m) and (B, m, K)
-    gives (B, 1, K), one ``matmul``, which rounds as the single frame does.
+    gives (B, 1, K), and a block (T, B, 1, m) and (T, B, m, K) gives
+    (T, B, 1, K), one ``matmul``, which rounds as the single frame does.
     """
     spp = np.matmul(posterior, rho)
     return np.minimum(spp, 1.0, out=spp)
@@ -222,7 +241,7 @@ def weighted_mmse(
     below: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`mmse_estimate` without the posterior check; shapes as in
-    :func:`weighted_spp`, with ``z`` (K,) or (B, 1, K)."""
+    :func:`weighted_spp`, with ``z`` (K,), (B, 1, K) or (T, B, 1, K)."""
     spp = weighted_spp(posterior, rho)
     per_component = rho * z
     rest = 1.0 - rho

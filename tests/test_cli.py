@@ -312,6 +312,54 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "utt_0002.labels" in err and f"label {label} outside [0, 3)" in err
 
+    @pytest.mark.parametrize("flags,setting", [
+        (["--beta", "9"], "beta=9.0"),
+        (["--alpha", "0.5"], "alpha=0.5"),
+        (["--estimator", "soft-subtraction"], "estimator=soft-subtraction"),
+        (["--posterior", "nn"], "posterior_source=nn"),
+    ], ids=["beta", "alpha", "estimator", "posterior"])
+    def test_fixed_noise_refuses_unused_flag(self, workspace, tmp_path, capsys, flags, setting):
+        """The reference mode cannot honour these settings; naming them
+        beats writing the same output as a plain --fixed-noise run."""
+        _, corpus, _, full = workspace
+        noisy = sorted(corpus.glob("*.wav"))[0]
+        out = tmp_path / "x.wav"
+        assert main(["enhance", "--bundle", str(full), "--in", str(noisy),
+                     "--out", str(out), "--fixed-noise", *flags]) == 1
+        assert f"--fixed-noise cannot honour {setting}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,setting", [
+        ("beta = 9", "beta=9"),
+        ("alpha = 0.5", "alpha=0.5"),
+        ("estimator = soft-subtraction", "estimator=soft-subtraction"),
+        ("posterior_source = nn", "posterior_source=nn"),
+    ], ids=["beta", "alpha", "estimator", "posterior"])
+    def test_fixed_noise_refuses_unused_config_key(self, workspace, tmp_path, capsys,
+                                                   line, setting):
+        _, corpus, _, full = workspace
+        noisy = sorted(corpus.glob("*.wav"))[0]
+        cfg = tmp_path / "enh.cfg"
+        cfg.write_text(f"noise_prefix = 0.25\n{line}\n")
+        out = tmp_path / "x.wav"
+        assert main(["enhance", "--bundle", str(full), "--in", str(noisy),
+                     "--out", str(out), "--fixed-noise", "--config", str(cfg)]) == 1
+        assert f"--fixed-noise cannot honour {setting}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_noise_takes_its_own_settings(self, workspace, tmp_path, capsys):
+        """The reference mode's own estimator and posterior source, and the
+        noise prefix it reads, are accepted and change nothing."""
+        _, corpus, _, full = workspace
+        noisy = sorted(corpus.glob("*.wav"))[0]
+        plain, explicit = tmp_path / "plain.wav", tmp_path / "explicit.wav"
+        argv = ["enhance", "--bundle", str(full), "--in", str(noisy), "--fixed-noise"]
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert main([*argv, "--out", str(explicit), "--estimator", "mixmax-mmse",
+                     "--posterior", "generative", "--noise-prefix", "0.25"]) == 0
+        assert plain.read_bytes() == explicit.read_bytes()
+        capsys.readouterr()
+
     def test_evaluate_frame_length_flag_is_usage_error(self, workspace, tmp_path, capsys):
         """The bundle fixes the frame length; evaluate has no flag for it."""
         _, corpus, _, full = workspace

@@ -75,12 +75,28 @@ def setup():
     return mog, net, padded, noisy
 
 
+# Samples [GAP) of a silence-gap input are digital silence.
+GAP = (12000, 14000)
+
+
 def with_silence_gap(noisy):
     """A copy with 2000 samples of digital silence, where the max density
     underflows in some bins and the tail fallback triggers."""
     samples = noisy.samples.copy()
-    samples[12000:14000] = 0.0
+    samples[GAP[0]:GAP[1]] = 0.0
     return Waveform(samples=samples, sample_rate=noisy.sample_rate)
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls ``nnmm.enhancer`` makes to each named function; a
+    name never called stays out of the returned dict."""
+    calls = {}
+    for name in names:
+        def counted(*args, _fn=getattr(enhancer, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(enhancer, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +288,7 @@ class TestComposition:
 
 MODES = [(est, src) for est in ("soft-subtraction", "mixmax-mmse")
          for src in ("nn", "generative")]
+REFERENCE = EnhancerConfig(estimator="mixmax-mmse", posterior_source="generative")
 
 
 class TestHoisting:
@@ -304,33 +321,84 @@ class TestHoisting:
         if gap:
             assert report.diagnostics.undecidable_bins > 0
 
-    @pytest.mark.parametrize("gap", [False, True], ids=["white", "silence-gap"])
-    def test_reference_mode_matches_frame_loop(self, setup, gap):
-        mog, _, _, noisy = setup
-        if gap:
-            noisy = with_silence_gap(noisy)
-        cfg = EnhancerConfig(estimator="mixmax-mmse", posterior_source="generative")
-        expected, _ = enhance_by_frame(noisy, mog, None, cfg, adapt_noise=False)
-        np.testing.assert_array_equal(
-            enhance_mixmax_original(noisy, mog, EnhancerConfig()).samples, expected)
+    @pytest.mark.parametrize("inputs", ["white", "silence-gap", "three-rows"])
+    def test_reference_mode_matches_frame_loop(self, setup, inputs):
+        """The reference mode takes a block of frames per step; its whole
+        report equals the per-frame loop's, and its final noise is the
+        prefix model.  Three rows make blocks of 5 frames, and the silence
+        gap of two of them spans a block boundary."""
+        mog, _, clean, noisy = setup
+        waves = {
+            "white": [noisy],
+            "silence-gap": [with_silence_gap(noisy)],
+            "three-rows": noisy_rows(clean, [(1, 0.0, False, False), (2, 5.0, True, True),
+                                             (3, 10.0, False, True)]),
+        }[inputs]
+        if inputs == "three-rows":
+            pad, hop, block = edge_padding(512), 512 // 4, enhancer.SPEECH_BLOCK // 3
+            first, last = -(-(GAP[0] + pad) // hop), (GAP[1] + pad - 512) // hop
+            assert block == 5 and first // block < last // block  # whole silent frames
+
+        got = enhancer._run(waves, mog, None, REFERENCE, adapt_noise=False)
+        for (y, report), w in zip(got, waves, strict=True):
+            expected, ref = enhance_by_frame(w, mog, None, REFERENCE, adapt_noise=False)
+            np.testing.assert_array_equal(y.samples, expected)
+            np.testing.assert_array_equal(report.frame_mean_spp, ref.frame_mean_spp)
+            np.testing.assert_array_equal(report.posteriors, ref.posteriors)
+            assert report.diagnostics == ref.diagnostics
+            prefix = init_from_prefix(noise_prefix_frames(log_spectra(stft(w, 512)), 16000,
+                                                          REFERENCE))
+            for noise in (ref.noise, prefix):
+                np.testing.assert_array_equal(report.noise.mu, noise.mu)
+                np.testing.assert_array_equal(report.noise.sigma, noise.sigma)
+            np.testing.assert_array_equal(
+                enhance_mixmax_original(w, mog, EnhancerConfig()).samples, expected)
+        if inputs != "white":
+            assert got[-1][1].diagnostics.undecidable_bins > 0
+            assert got[-1][1].diagnostics.tail_fallbacks > 0
 
     def test_noise_independent_work_runs_once(self, setup, monkeypatch):
         """One utterance: one NN forward, one subtraction and one
         reconstruction over all frames; dominance and adaptation per frame."""
         mog, net, _, noisy = setup
-        calls = {}
-        for name in ("forward", "reconstruct_frame", "soft_subtract",
-                     "speech_dominance", "adapt"):
-            def counted(*args, _fn=getattr(enhancer, name), _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(enhancer, name, counted)
-
+        calls = count_calls(monkeypatch, ("forward", "reconstruct_frame", "soft_subtract",
+                                          "speech_dominance", "adapt"))
         _, report = enhance_utterance(noisy, mog, net, EnhancerConfig())
         n = report.frames_processed
         assert n > enhancer.SPEECH_BLOCK  # more than one block of frames
         assert calls == {"forward": 1, "reconstruct_frame": 1, "soft_subtract": 1,
                          "speech_dominance": n, "adapt": n}
+
+    @pytest.mark.parametrize("estimator,posterior_source", MODES)
+    def test_steps_per_frame_when_the_noise_adapts(self, setup, monkeypatch,
+                                                   estimator, posterior_source):
+        """Each frame reads the noise the previous one updated, so the
+        noise-side steps run once per frame; the truncated mean, which does
+        not read the noise, once per block."""
+        mog, net, _, noisy = setup
+        calls = count_calls(monkeypatch, ("speech_dominance", "generative_posterior",
+                                          "conditional_mean_below", "adapt"))
+        cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
+        n = enhance_utterance(noisy, mog, net, cfg)[1].frames_processed
+        expected = {"speech_dominance": n, "adapt": n}
+        if posterior_source == "generative":
+            expected["generative_posterior"] = n
+        if estimator == "mixmax-mmse":
+            expected["conditional_mean_below"] = -(-n // enhancer.SPEECH_BLOCK)
+        assert calls == expected
+
+    def test_reference_mode_steps_per_block(self, setup, monkeypatch):
+        """With the noise fixed no frame waits for another: every step runs
+        once per block of SPEECH_BLOCK frames, and the noise never adapts."""
+        mog, _, _, noisy = setup
+        calls = count_calls(monkeypatch, ("speech_dominance", "generative_posterior",
+                                          "conditional_mean_below", "adapt"))
+        [(_, report)] = enhancer._run([noisy], mog, None, REFERENCE, adapt_noise=False)
+        n = report.frames_processed
+        assert n % enhancer.SPEECH_BLOCK  # a short last block
+        blocks = -(-n // enhancer.SPEECH_BLOCK)
+        assert calls == {"speech_dominance": blocks, "generative_posterior": blocks,
+                         "conditional_mean_below": blocks}
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +425,6 @@ def assert_same_row(got, expected):
     np.testing.assert_array_equal(report.noise.mu, ref.noise.mu)
     np.testing.assert_array_equal(report.noise.sigma, ref.noise.sigma)
     assert report.diagnostics == ref.diagnostics
-
-
-REFERENCE = EnhancerConfig(estimator="mixmax-mmse", posterior_source="generative")
 
 
 class TestBatching:
@@ -398,13 +463,8 @@ class TestBatching:
         """Three rows: dominance and adaptation once per frame for all of
         them; the forward pass and reconstruction once per row."""
         mog, net, _, noisy = setup
-        calls = {}
-        for name in ("forward", "reconstruct_frame", "soft_subtract",
-                     "speech_dominance", "adapt"):
-            def counted(*args, _fn=getattr(enhancer, name), _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(enhancer, name, counted)
+        calls = count_calls(monkeypatch, ("forward", "reconstruct_frame", "soft_subtract",
+                                          "speech_dominance", "adapt"))
 
         waves = noisy_rows(noisy, [(1, 0.0, False, False), (2, 5.0, True, False),
                                    (3, 10.0, False, True)])

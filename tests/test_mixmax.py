@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from nnmm.gauss import DENSITY_FLOOR, SIGMA_FLOOR, gaussian_pdf_cdf
 from nnmm.mixmax import (
@@ -344,6 +344,41 @@ class TestConditionalMean:
         expected = -30.0 - 1.0 / (30.0 + 1.0 / 30.0)
         np.testing.assert_allclose(out[0, 0], expected, rtol=1e-3)
         assert out[0, 0] < -30.0
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), t=st.integers(1, 4), b=st.integers(1, 3), m=st.integers(1, 4),
+           k=st.integers(1, 6))
+    def test_in_place_equals_textbook(self, data, t, b, m, k):
+        """The in-place kernel equals the plain expressions bit for bit on a
+        (T, B, K) stack, fallbacks and per-row counts included, and leaves
+        its inputs as they were."""
+        def vec(shape, lo, hi):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+        weights = vec(m, 0.01, 1.0)
+        mog = PhonemeMog(weights=weights / weights.sum(), means=vec((m, k), -10.0, 10.0),
+                         stds=vec((m, k), SIGMA_FLOOR, 3.0))
+        zs = vec((t, b, k), -80.0, 30.0)
+        zs[0, 0, 0] = -1e3  # deep tail in every example: a fallback
+        inputs = [zs, mog.weights, mog.means, mog.stds]
+        before = [a.copy() for a in inputs]
+
+        # the textbook expressions
+        z = zs[..., np.newaxis, :]
+        a = (z - mog.means) / mog.stds
+        log_cdf = log_ndtr(a)
+        with np.errstate(over="ignore"):
+            ratio = np.exp(-0.5 * a * a - 0.5 * np.log(2.0 * np.pi) - log_cdf)
+        mean = mog.means - mog.stds * ratio
+        fallback = (log_cdf < np.log(DENSITY_FLOOR)) | ~np.isfinite(mean)
+        expected = np.where(fallback, z - mog.stds, mean)
+
+        diags = [MixmaxDiagnostics() for _ in range(b)]
+        np.testing.assert_array_equal(conditional_mean_below(zs, mog, diags), expected)
+        assert [d.tail_fallbacks for d in diags] == fallback.sum(axis=(0, 2, 3)).tolist()
+        assert diags[0].tail_fallbacks > 0
+        for got, want in zip(inputs, before):
+            np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
