@@ -18,6 +18,21 @@ takes a whole block of frames, (T, B, ...) arrays, through the same
 functions; the results are the per-frame ones bit for bit, with a Python
 call per block instead of per frame.
 
+A step allocates nothing and checks nothing.  Each call of ``_run`` makes
+the step's buffers once, in a ``_StepBuffers`` for the step's shape (made
+again only for a short last block) and, when the noise adapts, a spare
+noise model and two scratch arrays.  The step passes them to
+:func:`speech_dominance`, :func:`weighted_spp` or :func:`weighted_mmse` and
+:func:`adapt` through their ``out`` workspaces.  Those run the same code as
+their allocating forms, so the results are bit for bit the same.  ``adapt``
+writes the new model into the spare one, and the model it read becomes the
+next spare.  The buffers belong to one call, so nothing returned shares
+memory with a later call.  The checks that ``adapt`` makes on every call of
+its allocating form run here once per utterance: :func:`check_observations`
+over all log-spectra before the recursion, and :func:`check_spp` over all
+SPPs after it, before any result is formed from them.  ``alpha`` is checked
+by :class:`EnhancerConfig`.
+
 The recursion runs B equal-length utterances, the rows of a batch,
 together: :func:`enhance_batch` takes them, and :func:`enhance_utterance`
 and :func:`enhance_mixmax_original` are its one-row case.  Frames are held
@@ -67,7 +82,7 @@ from .mixmax import (
 )
 from .mog import PhonemeMog
 from .nn import NnClassifier, forward
-from .noise import NoiseModel, adapt, init_from_prefix
+from .noise import NoiseModel, adapt, check_observations, check_spp, init_from_prefix
 
 ESTIMATORS = ("soft-subtraction", "mixmax-mmse")
 POSTERIOR_SOURCES = ("nn", "generative")
@@ -187,6 +202,23 @@ def _time_major(rows: list[np.ndarray]) -> np.ndarray:
     return np.stack(rows, axis=1)[:, :, np.newaxis]
 
 
+class _StepBuffers:
+    """Every array one recursion step writes but does not keep.
+
+    ``shape`` is the shape of a step's ``z``: (B, 1, K) for one frame, or
+    (T, B, 1, K) for a block of T frames under the fixed (B, 1, K) noise
+    model.  ``dominance`` is :func:`speech_dominance`'s workspace and
+    ``terms`` the per-component pair of :func:`weighted_mmse`'s.
+    """
+
+    def __init__(self, shape: tuple, n_components: int):
+        self.shape = shape
+        per_component = shape[:-2] + (n_components, shape[-1])
+        noise_side = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape[-3:]))
+        self.dominance = (noise_side, np.empty(per_component), np.empty(per_component))
+        self.terms = (np.empty(per_component), np.empty(per_component))
+
+
 def _run(
     waves: list[Waveform],
     mog: PhonemeMog,
@@ -217,7 +249,13 @@ def _run(
     spp = np.empty_like(logspecs)
     xhat = np.empty_like(logspecs) if mmse else None
 
+    if adapt_noise:
+        # adapt's checks, once per utterance (the SPP's after the recursion)
+        check_observations(logspecs)
+        spare = NoiseModel(mu=noise.mu.copy(), sigma=noise.sigma.copy())
+        gate, tmp = np.empty_like(noise.mu), np.empty_like(noise.mu)
     block = max(1, SPEECH_BLOCK // n_rows)
+    buffers = None
     for first in range(0, n_frames, block):
         at = slice(first, first + block)
         zs, ps, spps = logspecs[at], posteriors[at], spp[at]
@@ -227,17 +265,23 @@ def _run(
             xhats = xhat[at]
         # A step is one frame when the noise adapts, since the next frame
         # reads the updated model, and the whole block when it is fixed.
-        for i in range(len(zs)) if adapt_noise else (slice(None),):
-            z = zs[i]
-            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, diags)
+        steps = range(len(zs)) if adapt_noise else (slice(None),)
+        shape = zs.shape[1:] if adapt_noise else zs.shape
+        if buffers is None or buffers.shape != shape:  # the first or a short last block
+            buffers = _StepBuffers(shape, mog.n_components)
+        for i in steps:
+            z, s = zs[i], spps[i]
+            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, diags, out=buffers.dominance)
             if generative:
                 ps[i, :, 0] = generative_posterior(h, mog)
             if mmse:
-                xhats[i], spps[i] = weighted_mmse(z, ps[i], rho, below[i])
+                weighted_mmse(z, ps[i], rho, below[i], out=(xhats[i], s, *buffers.terms))
             else:
-                spps[i] = weighted_spp(ps[i], rho)
+                weighted_spp(ps[i], rho, out=s)
             if adapt_noise:
-                noise = adapt(noise, z, spps[i], cfg.alpha)
+                noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate, tmp)), noise
+    if adapt_noise:
+        check_spp(spp)
     if generative:
         check_posteriors(posteriors)
 

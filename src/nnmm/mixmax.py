@@ -33,8 +33,8 @@ per-component arrays (B, m, K) and the posteriors (B, 1, m).  Counters then
 go to a list of diagnostics, one per row.  With the noise model fixed they
 also take a block of T such frames, a leading T axis on ``z``, the
 per-component arrays and the posteriors; the noise model stays (B, 1, K)
-and broadcasts.  All functions are pure, apart from those counters; models
-are immutable.
+and broadcasts.  All functions are pure, apart from those counters and the
+``out`` workspaces a caller hands them; models are immutable.
 """
 
 from __future__ import annotations
@@ -80,15 +80,16 @@ def _per_row(diag: MixmaxDiagnostics | list[MixmaxDiagnostics], mask: np.ndarray
 # elementwise max-of-Gaussians density
 # ---------------------------------------------------------------------------
 
-def _max_terms(speech, z, mu_y, sigma_y):
+def _max_terms(speech, z, mu_y, sigma_y, out=None):
     """The two terms of the max density, f(z) G(z) and F(z) g(z).
 
     ``speech`` is the pair (f, F) from :func:`gaussian_pdf_cdf` on the
-    speech side.
+    speech side.  ``out`` is :func:`speech_dominance`'s workspace.
     """
     f, big_f = speech
-    g, big_g = gaussian_pdf_cdf(z, mu_y, sigma_y)
-    return f * big_g, big_f * g
+    noise_side, speech_term, noise_term = (None, None, None) if out is None else out
+    g, big_g = gaussian_pdf_cdf(z, mu_y, sigma_y, out=noise_side)
+    return np.multiply(f, big_g, speech_term), np.multiply(big_f, g, noise_term)
 
 
 def max_density(z, mu_x, sigma_x, mu_y, sigma_y):
@@ -112,6 +113,8 @@ def speech_dominance(
     speech: tuple[np.ndarray, np.ndarray],
     noise: NoiseModel,
     diag: MixmaxDiagnostics | list[MixmaxDiagnostics] | None = None,
+    *,
+    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(speech exceeds noise | observation, component) and the max density.
 
@@ -129,9 +132,16 @@ def speech_dominance(
     with an underflowing bin builds the mask, counts its bins and clips;
     clipping leaves the other bins' ``f G / h`` as they are, so a block
     rounds as its frames do one at a time.
+
+    Without ``out`` every array is fresh.  ``out`` is a workspace
+    ``(noise_side, numer, h)``: ``noise_side`` is the workspace of
+    :func:`gaussian_pdf_cdf` for ``z`` against the noise model, and ``numer``
+    and ``h`` are float64 arrays of the result's shape.  ``h`` and, unless a
+    bin underflows, ``rho`` are then returned in ``h`` and ``numer``, and
+    nothing is allocated.
     """
-    numer, h = _max_terms(speech, np.asarray(z, dtype=np.float64), noise.mu, noise.sigma)
-    h += numer
+    numer, h = _max_terms(speech, np.asarray(z, dtype=np.float64), noise.mu, noise.sigma, out)
+    np.add(h, numer, h)
     if h.min() < DENSITY_FLOOR:
         undecidable = h < DENSITY_FLOOR
         if diag is not None:
@@ -139,7 +149,7 @@ def speech_dominance(
                 d.undecidable_bins += n
         rho = np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h))
         return np.clip(rho, 0.0, 1.0), h
-    numer /= h
+    np.divide(numer, h, numer)
     return numer, h
 
 
@@ -223,14 +233,16 @@ def _check_posterior(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return p
 
 
-def weighted_spp(posterior: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def weighted_spp(posterior: np.ndarray, rho: np.ndarray, *, out=None) -> np.ndarray:
     """:func:`hybrid_spp` without the posterior check.
 
     Shapes (m,) and (m, K) give (K,); a batch (B, 1, m) and (B, m, K)
     gives (B, 1, K), and a block (T, B, 1, m) and (T, B, m, K) gives
     (T, B, 1, K), one ``matmul``, which rounds as the single frame does.
+    With ``out``, a float64 array of the result's shape, the SPP is written
+    there.
     """
-    spp = np.matmul(posterior, rho)
+    spp = np.matmul(posterior, rho, out)
     return np.minimum(spp, 1.0, out=spp)
 
 
@@ -239,15 +251,22 @@ def weighted_mmse(
     posterior: np.ndarray,
     rho: np.ndarray,
     below: np.ndarray,
+    *,
+    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`mmse_estimate` without the posterior check; shapes as in
-    :func:`weighted_spp`, with ``z`` (K,), (B, 1, K) or (T, B, 1, K)."""
-    spp = weighted_spp(posterior, rho)
-    per_component = rho * z
-    rest = 1.0 - rho
-    rest *= below
-    per_component += rest
-    return np.matmul(posterior, per_component), spp
+    :func:`weighted_spp`, with ``z`` (K,), (B, 1, K) or (T, B, 1, K).
+
+    ``out`` is a workspace ``(xhat, spp, per_component, rest)``: the two
+    results, and two float64 arrays of ``rho``'s shape for the
+    per-component estimate; nothing is then allocated."""
+    xhat, spp, per_component, rest = (None, None, None, None) if out is None else out
+    spp = weighted_spp(posterior, rho, out=spp)
+    per_component = np.multiply(rho, z, per_component)
+    rest = np.subtract(1.0, rho, rest)
+    np.multiply(rest, below, rest)
+    np.add(per_component, rest, per_component)
+    return np.matmul(posterior, per_component, xhat), spp
 
 
 def mmse_estimate(

@@ -65,7 +65,26 @@ def init_from_prefix(frames: np.ndarray) -> NoiseModel:
     )
 
 
-def adapt(model: NoiseModel, z: np.ndarray, spp: np.ndarray, alpha: float) -> NoiseModel:
+def check_spp(spp: np.ndarray) -> None:
+    """Reject an SPP outside [0, 1] (NaN fails); any shape, in one pass."""
+    if not (spp.min() >= 0 and spp.max() <= 1):  # NaN fails both
+        raise ValueError("SPP values must lie in [0, 1]")
+
+
+def check_observations(z: np.ndarray) -> None:
+    """Reject a non-finite observation; any shape, in one pass."""
+    if not np.isfinite(z).all():
+        raise ValueError("observation must be finite")
+
+
+def adapt(
+    model: NoiseModel,
+    z: np.ndarray,
+    spp: np.ndarray,
+    alpha: float,
+    *,
+    out: tuple | None = None,
+) -> NoiseModel:
     """One recursive update gated by the speech presence probability.
 
     Noise-dominated bins (spp near 0) move toward the observation with
@@ -77,36 +96,51 @@ def adapt(model: NoiseModel, z: np.ndarray, spp: np.ndarray, alpha: float) -> No
     frame is finite.  ``model`` was checked when it was built.  The
     result is not checked again: its mean blends finite values with weights
     in [0, 1] and its std is floored at ``SIGMA_FLOOR``, so it is valid by
-    construction.  Both are formed in place on fresh arrays, in the order
-    of the textbook recursion, so they round as its expressions do.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    rho = np.asarray(spp, dtype=np.float64)
-    if z.shape != model.mu.shape or rho.shape != model.mu.shape:
-        raise ValueError("frame, SPP and model lengths differ")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if not (rho.min() >= 0 and rho.max() <= 1):  # NaN fails both
-        raise ValueError("SPP values must lie in [0, 1]")
-    if not np.isfinite(z).all():
-        raise ValueError("observation must be finite")
+    construction.  Both are formed in place, in the order of the textbook
+    recursion, so they round as its expressions do.
 
+    Without ``out`` the result is a new model on fresh arrays.  ``out`` is
+    a workspace ``(into, gate, tmp)``: a model of ``model``'s shape that
+    shares no array with it, whose arrays are overwritten with the result
+    and which is returned, and two float64 scratch arrays of that shape;
+    nothing is then allocated.  That form is the enhancer's per-frame step
+    and checks nothing: its caller checks a whole utterance's observations
+    and SPP at once with :func:`check_observations` and :func:`check_spp`,
+    and ``alpha`` is checked by the enhancer's config.
+    """
+    if out is None:
+        z = np.asarray(z, dtype=np.float64)
+        rho = np.asarray(spp, dtype=np.float64)
+        if z.shape != model.mu.shape or rho.shape != model.mu.shape:
+            raise ValueError("frame, SPP and model lengths differ")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
+        check_spp(rho)
+        check_observations(z)
+        into, gate, tmp = None, None, None
+    else:
+        rho = spp
+        into, gate, tmp = out
+    mu, sigma = (None, None) if into is None else (into.mu, into.sigma)
+    # Output arrays are named positionally, the cheapest form of a numpy
+    # call, which counts in a step that runs once per frame; np.maximum
+    # alone takes ``out=``, as its positional form is deprecated.
     # mu = rho*mu + (1-rho)*(alpha*z + (1-alpha)*mu)
-    gate = 1.0 - rho
-    tmp = np.multiply(1.0 - alpha, model.mu)
-    mu = np.multiply(alpha, z)
-    mu += tmp
-    mu *= gate
-    np.multiply(rho, model.mu, out=tmp)
-    mu += tmp
+    gate = np.subtract(1.0, rho, gate)
+    tmp = np.multiply(1.0 - alpha, model.mu, tmp)
+    mu = np.multiply(alpha, z, mu)
+    np.add(mu, tmp, mu)
+    np.multiply(mu, gate, mu)
+    np.multiply(rho, model.mu, tmp)
+    np.add(mu, tmp, mu)
     # sigma = rho*sigma + (1-rho)*(alpha*|z - mu| + (1-alpha)*sigma)
-    sigma = np.subtract(z, mu)
-    np.abs(sigma, out=sigma)
-    sigma *= alpha
-    np.multiply(1.0 - alpha, model.sigma, out=tmp)
-    sigma += tmp
-    sigma *= gate
-    np.multiply(rho, model.sigma, out=tmp)
-    sigma += tmp
+    sigma = np.subtract(z, mu, sigma)
+    np.abs(sigma, sigma)
+    np.multiply(sigma, alpha, sigma)
+    np.multiply(1.0 - alpha, model.sigma, tmp)
+    np.add(sigma, tmp, sigma)
+    np.multiply(sigma, gate, sigma)
+    np.multiply(rho, model.sigma, tmp)
+    np.add(sigma, tmp, sigma)
     np.maximum(sigma, SIGMA_FLOOR, out=sigma)
-    return NoiseModel._unchecked(mu, sigma)
+    return NoiseModel._unchecked(mu, sigma) if into is None else into

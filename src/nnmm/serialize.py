@@ -16,6 +16,8 @@ Round-trips are bit-exact; that is the point of the format.
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -40,6 +42,10 @@ class ModelBundle:
     config_hash: int = 0
 
     def __post_init__(self):
+        # Refuse here what save_bundle could not pack: an integer field
+        # outside its u32 or u64 slot would only fail at save time.
+        for name, bits in (("sample_rate", 32), ("frame_length", 32), ("config_hash", 64)):
+            _check_unsigned(name, getattr(self, name), bits)
         if self.sample_rate <= 0 or self.frame_length <= 0:
             raise ValueError("sample_rate and frame_length must be positive")
         if self.mog.n_bins != self.frame_length // 2 + 1:
@@ -52,6 +58,15 @@ class ModelBundle:
                 f"classifier has {self.net.n_classes} classes, mixture has "
                 f"{self.mog.n_components} components"
             )
+
+
+def _check_unsigned(name: str, value, bits: int) -> None:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
 
 
 def config_fingerprint(settings: dict) -> int:
@@ -103,14 +118,31 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def floats(self, shape: tuple) -> np.ndarray:
-        n = int(np.prod(shape))
+        n = math.prod(shape)  # exact: a corrupt count must not wrap around
         return np.frombuffer(self.take(8 * n), dtype="<f8").reshape(shape).copy()
 
 
 def load_bundle(path: str) -> ModelBundle:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read())
+    """Read a bundle written by :func:`save_bundle`.
 
+    Any content that does not parse or validate raises
+    :class:`BundleFormatError`: a label that is not UTF-8, or a value the
+    model types refuse (a mixture weight or std, a classifier weight, a
+    header field), is reported as a bad file naming ``path``, not as the
+    plain ``ValueError`` the model types raise.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return _parse(blob, path)
+    except BundleFormatError:
+        raise
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise BundleFormatError(f"{path}: invalid model bundle: {exc}") from exc
+
+
+def _parse(blob: bytes, path: str) -> ModelBundle:
+    r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise BundleFormatError(f"{path}: not a model bundle (bad magic)")
     version, config_hash = r.unpack("<IQ")

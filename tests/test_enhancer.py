@@ -533,6 +533,84 @@ class TestInputsUnmodified:
             np.testing.assert_array_equal(a, b)
 
 
+class TestResultsOwnTheirArrays:
+    """The recursion writes into buffers it reuses from frame to frame; a
+    returned waveform and report keep their values while later calls run."""
+
+    @pytest.mark.parametrize("estimator,posterior_source", MODES)
+    def test_later_calls_leave_results_alone(self, setup, estimator, posterior_source):
+        """Two lengths, one frame apart, so the final noise model lands in
+        either of the two buffers the recursion alternates between; each
+        later call has the shape of an earlier one."""
+        mog, net, clean, noisy = setup
+        cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
+        hop = cfg.frame_length // 4
+
+        def calls(w):
+            w_short = Waveform(samples=w.samples[:-hop], sample_rate=w.sample_rate)
+            return [pair for x in (w, w_short) for pair in
+                    [enhance_utterance(x, mog, net, cfg),
+                     *enhance_batch([x, with_silence_gap(x)], mog, net, cfg)]]
+
+        def arrays(pair):
+            out, report = pair
+            return [out.samples, report.noise.mu, report.noise.sigma,
+                    report.frame_mean_spp, report.posteriors]
+
+        results = calls(noisy)
+        assert len({r.frames_processed for _, r in results}) == 2
+        before = [[a.copy() for a in arrays(pair)] for pair in results]
+        [other] = noisy_rows(clean, [(7, 0.0, True, False)])
+        calls(other)
+        enhance_mixmax_original(other, mog, cfg)
+        for pair, kept in zip(results, before):
+            for a, b in zip(arrays(pair), kept, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestInputChecks:
+    """adapt's checks of the observations and the SPP run once per
+    utterance, outside the frame loop, with adapt's errors."""
+
+    def test_checked_once_per_utterance(self, setup, monkeypatch):
+        mog, net, _, noisy = setup
+        calls = count_calls(monkeypatch, ("check_observations", "check_spp"))
+        enhance_batch([noisy, with_silence_gap(noisy)], mog, net, EnhancerConfig())
+        assert calls == {"check_observations": 1, "check_spp": 1}
+        calls.clear()
+        enhance_mixmax_original(noisy, mog, EnhancerConfig())
+        assert calls == {}  # the noise never adapts
+
+    def test_non_finite_observation_rejected_before_the_recursion(self, setup, monkeypatch):
+        mog, net, _, noisy = setup
+
+        def with_nan(spec):
+            logs = log_spectra(spec)
+            logs[-1, 3] = np.nan
+            return logs
+
+        monkeypatch.setattr(enhancer, "log_spectra", with_nan)
+        frames = []
+        monkeypatch.setattr(enhancer, "speech_dominance", lambda *a, **k: frames.append(a))
+        with pytest.raises(ValueError, match="observation must be finite"):
+            enhance_utterance(noisy, mog, net, EnhancerConfig())
+        assert frames == []
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan], ids=["above", "below", "nan"])
+    def test_spp_outside_unit_interval_rejected(self, setup, monkeypatch, bad):
+        mog, net, _, noisy = setup
+        spp = enhancer.weighted_spp
+
+        def one_bad_bin(posterior, rho, *, out):
+            spp(posterior, rho, out=out)
+            out[..., 5] = bad
+            return out
+
+        monkeypatch.setattr(enhancer, "weighted_spp", one_bad_bin)
+        with pytest.raises(ValueError, match=r"SPP values must lie in \[0, 1\]"):
+            enhance_utterance(noisy, mog, net, EnhancerConfig())
+
+
 # ---------------------------------------------------------------------------
 # Noise model tracking
 # ---------------------------------------------------------------------------

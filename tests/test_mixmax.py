@@ -26,6 +26,8 @@ from nnmm.mixmax import (
     soft_subtract,
     speech_dominance,
     speech_terms,
+    weighted_mmse,
+    weighted_spp,
 )
 from nnmm.mog import PhonemeMog
 from nnmm.noise import NoiseModel
@@ -565,3 +567,70 @@ class TestKernelProperties:
             xhat, spp_mmse = mmse_estimate(z, p, rho, below)
             assert np.all(xhat <= z + 1e-9)
             np.testing.assert_array_equal(spp_mmse, spp)
+
+
+# ---------------------------------------------------------------------------
+# Workspace forms against the allocating forms
+# ---------------------------------------------------------------------------
+
+
+class TestWorkspaceForms:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(data=st.data(), layout=st.sampled_from(["frame", "batch", "block"]),
+           m=st.integers(1, 4), k=st.integers(1, 6))
+    def test_equal_to_allocating_forms(self, data, layout, m, k):
+        """speech_dominance, weighted_spp and weighted_mmse written into
+        buffers (filled with NaN first) give the allocating forms' results
+        bit for bit, with the same fallback counts, at one frame (K,), a
+        batch (B, 1, K) and a block (T, B, 1, K); every example has a bin
+        whose density underflows, and the inputs come back unmodified."""
+        def vec(shape, lo, hi):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+        b = data.draw(st.integers(1, 3))
+        frame = {"frame": (k,), "batch": (b, 1, k),
+                 "block": (data.draw(st.integers(1, 3)), b, 1, k)}[layout]
+        weights = vec(m, 0.01, 1.0)
+        mog = PhonemeMog(weights=weights / weights.sum(), means=vec((m, k), -10.0, 10.0),
+                         stds=vec((m, k), SIGMA_FLOOR, 3.0))
+        noise = NoiseModel(mu=vec(frame[-3:], -10.0, 10.0),
+                           sigma=vec(frame[-3:], SIGMA_FLOOR, 3.0))
+        z = vec(frame, -30.0, 30.0)
+        z.flat[0] = 1e3  # far above both sides: h underflows in that bin
+        f, big_f = speech_terms(z if layout == "frame" else z[..., 0, :], mog)
+        p = vec(frame[:-1] + (m,), 0.01, 1.0)
+        p /= p.sum(axis=-1, keepdims=True)
+        below = conditional_mean_below(z if layout == "frame" else z[..., 0, :], mog)
+        inputs = [z, f, big_f, noise.mu, noise.sigma, p, below]
+        before = [a.copy() for a in inputs]
+        rows = 1 if layout == "frame" else b
+
+        want_diags = [MixmaxDiagnostics() for _ in range(rows)]
+        rho, h = speech_dominance(z, (f, big_f), noise, want_diags)
+        want_spp = weighted_spp(p, rho)
+        want_xhat, want_mmse_spp = weighted_mmse(z, p, rho, below)
+
+        def nans(shape):
+            return np.full(shape, np.nan)
+
+        side = np.broadcast_shapes(z.shape, noise.mu.shape)
+        dominance_out = ((nans(side), nans(side), nans(side), nans(noise.sigma.shape)),
+                         nans(f.shape), nans(f.shape))
+        diags = [MixmaxDiagnostics() for _ in range(rows)]
+        got_rho, got_h = speech_dominance(z, (f, big_f), noise, diags, out=dominance_out)
+        assert got_h is dominance_out[2]
+        np.testing.assert_array_equal(got_rho, rho)
+        np.testing.assert_array_equal(got_h, h)
+        assert [d.undecidable_bins for d in diags] == [d.undecidable_bins for d in want_diags]
+        assert want_diags[0].undecidable_bins > 0
+
+        spp = nans(want_spp.shape)
+        assert weighted_spp(p, got_rho, out=spp) is spp
+        np.testing.assert_array_equal(spp, want_spp)
+        mmse_out = (nans(want_xhat.shape), nans(want_spp.shape), nans(f.shape), nans(f.shape))
+        xhat, mmse_spp = weighted_mmse(z, p, got_rho, below, out=mmse_out)
+        assert xhat is mmse_out[0] and mmse_spp is mmse_out[1]
+        np.testing.assert_array_equal(xhat, want_xhat)
+        np.testing.assert_array_equal(mmse_spp, want_mmse_spp)
+        for got, want in zip(inputs, before):
+            np.testing.assert_array_equal(got, want)

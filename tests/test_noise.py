@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nnmm.gauss import SIGMA_FLOOR
-from nnmm.noise import NoiseModel, adapt, init_from_prefix
+from nnmm.noise import NoiseModel, adapt, check_observations, check_spp, init_from_prefix
 
 
 class TestInit:
@@ -130,3 +130,50 @@ class TestAdaptProperties:
         for a, b in zip(inputs, before):
             np.testing.assert_array_equal(a, b)
         assert not any(np.shares_memory(o, a) for o in (out.mu, out.sigma) for a in inputs)
+
+
+class TestAdaptWorkspace:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data(), rows=st.sampled_from([None, 1, 3]), k=st.integers(1, 16))
+    def test_equals_allocating_form(self, data, rows, k):
+        """Written into a spare model and scratch arrays, one (K,) model or a
+        batch of (B, 1, K) ones, the update equals the allocating form bit
+        for bit, returns the spare model, and leaves the inputs unmodified."""
+        shape = (k,) if rows is None else (rows, 1, k)
+
+        def vec(lo, hi):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+        model = NoiseModel(mu=vec(-50.0, 50.0), sigma=vec(SIGMA_FLOOR, 10.0))
+        z, rho = vec(-100.0, 100.0), vec(0.0, 1.0)
+        alpha = data.draw(st.floats(1e-3, 1.0 - 1e-3))
+        inputs = (model.mu, model.sigma, z, rho)
+        before = [a.copy() for a in inputs]
+
+        want = adapt(model, z, rho, alpha)
+        into = NoiseModel(mu=np.full(shape, 7.0), sigma=np.full(shape, 7.0))
+        got = adapt(model, z, rho, alpha,
+                    out=(into, np.full(shape, np.nan), np.full(shape, np.nan)))
+        assert got is into
+        np.testing.assert_array_equal(got.mu, want.mu)
+        np.testing.assert_array_equal(got.sigma, want.sigma)
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestChecks:
+    def test_spp_checked_over_any_shape(self):
+        check_spp(np.zeros((4, 2, 1, 3)))
+        for bad in (1.5, -0.1, np.nan):
+            spp = np.zeros((4, 2, 1, 3))
+            spp[3, 1, 0, 2] = bad
+            with pytest.raises(ValueError, match=r"SPP values must lie in \[0, 1\]"):
+                check_spp(spp)
+
+    def test_observations_checked_over_any_shape(self):
+        check_observations(np.zeros((4, 2, 1, 3)))
+        for bad in (np.nan, np.inf, -np.inf):
+            z = np.zeros((4, 2, 1, 3))
+            z[2, 0, 0, 1] = bad
+            with pytest.raises(ValueError, match="observation must be finite"):
+                check_observations(z)

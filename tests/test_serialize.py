@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnmm.errors import BundleFormatError
 from nnmm.mog import PhonemeMog
@@ -122,6 +124,59 @@ class TestCorruption:
         with pytest.raises(BundleFormatError):
             load_bundle(p)
 
+    def test_label_not_utf8(self, tmp_path):
+        """Byte 35 is the first byte of the first label (magic 4, version
+        and hash 12, four u32 16, has_net 1, label length 2)."""
+        p = tmp_path / "m.nnmm"
+        save_bundle(make_bundle(), p)
+        data = bytearray(p.read_bytes())
+        data[35] = 0xFF
+        p.write_bytes(bytes(data))
+        with pytest.raises(BundleFormatError, match="m.nnmm.*utf-8"):
+            load_bundle(p)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("weights", np.array([0.5, 0.5, 0.5]), "weights"),
+        ("stds", np.full((3, 257), 1e-4), "std-devs"),
+        ("w2", np.full((3, 17), np.nan), "finite"),
+    ])
+    def test_model_value_refused(self, tmp_path, field, value, message):
+        """A value the model types refuse, written over its bytes in a valid
+        file, is a bad file, not a plain ValueError."""
+        p = tmp_path / "m.nnmm"
+        bundle = make_bundle()
+        save_bundle(bundle, p)
+        blob = p.read_bytes()
+        model = bundle.net if field == "w2" else bundle.mog
+        old = np.ascontiguousarray(getattr(model, field), dtype="<f8").tobytes()
+        assert blob.count(old) == 1
+        p.write_bytes(blob.replace(old, np.ascontiguousarray(value, dtype="<f8").tobytes()))
+        with pytest.raises(BundleFormatError, match=f"m.nnmm.*{message}"):
+            load_bundle(p)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_truncated_or_changed_byte_loads_or_is_format_error(self, tmp_path_factory, data):
+        """Every truncation and every single-byte change of a valid bundle
+        either loads or raises BundleFormatError, nothing else."""
+        mog = make_mog(m=2, n_bins=5)
+        net = init_classifier(3, 2, n_hidden=2, seed=0)
+        p = tmp_path_factory.getbasetemp() / "corrupt.nnmm"
+        save_bundle(ModelBundle(mog=mog, net=net, sample_rate=16000, frame_length=8,
+                                config_hash=7), p)
+        blob = p.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="at")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
+            blob = blob[:at] + bytes([byte]) + blob[at + 1:]
+        p.write_bytes(blob)
+        try:
+            load_bundle(p)
+        except BundleFormatError:
+            pass
+
 
 # ---------------------------------------------------------------------------
 # Bundle validation and fingerprints
@@ -143,6 +198,26 @@ class TestBundle:
         with pytest.raises(BundleFormatError, match="class"):
             ModelBundle(mog=make_mog(m=3), net=net,
                         sample_rate=16000, frame_length=512)
+
+    @pytest.mark.parametrize("field,value", [
+        ("config_hash", "x"), ("config_hash", -1), ("config_hash", 2**64),
+        ("config_hash", 1.0), ("sample_rate", 2**33), ("sample_rate", 16000.0),
+        ("frame_length", 2**32),
+    ])
+    def test_values_save_cannot_pack_are_refused(self, field, value):
+        """Construction refuses what the u32/u64 header slots cannot hold,
+        instead of save_bundle failing with a bare struct.error."""
+        fields = dict(mog=make_mog(), net=None, sample_rate=16000, frame_length=512)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            ModelBundle(**fields)
+
+    def test_header_extremes_round_trip(self, tmp_path):
+        bundle = ModelBundle(mog=make_mog(), net=None, sample_rate=2**32 - 1,
+                             frame_length=512, config_hash=2**64 - 1)
+        save_bundle(bundle, tmp_path / "m.nnmm")
+        back = load_bundle(tmp_path / "m.nnmm")
+        assert (back.sample_rate, back.config_hash) == (2**32 - 1, 2**64 - 1)
 
     def test_fingerprint_stable_and_order_free(self):
         a = config_fingerprint({"beta": 2.5, "alpha": 0.1})
