@@ -5,7 +5,8 @@ Only the noise estimate is recursive, so an utterance runs in three parts:
 * a precompute over all frames that does not depend on noise: STFT and
   log-spectra, MFCC features and the classifier's posteriors in one batched
   forward pass, and, a block of frames at a time, the speech side of the
-  max model (and, for the MMSE estimator, the truncated means);
+  max model, f and F (and, for the MMSE estimator, the truncated means
+  formed from them);
 * the recursion, in time order: the noise side of the dominance, the
   generative posterior where the mode uses it, the SPP (and the MMSE
   estimate), and the SPP-gated noise update;
@@ -261,7 +262,7 @@ def _run(
         zs, ps, spps = logspecs[at], posteriors[at], spp[at]
         f, big_f = speech_terms(zs[:, :, 0], mog)
         if mmse:
-            below = conditional_mean_below(zs[:, :, 0], mog, diags)
+            below = conditional_mean_below(zs[:, :, 0], (f, big_f), mog, diags)
             xhats = xhat[at]
         # A step is one frame when the noise adapts, since the next frame
         # reads the updated model, and the whole block when it is fixed.

@@ -20,7 +20,11 @@ side, g and G, changes as the noise model adapts: :func:`speech_dominance`
 forms it for one frame, or for a block of frames under one noise model, and
 combines both sides into ``(rho, h)``, with the same code as
 :func:`max_density`.  :func:`generative_posterior`, :func:`hybrid_spp` and
-:func:`mmse_estimate` take those results instead of recomputing them.
+:func:`mmse_estimate` take those results instead of recomputing them, and
+:func:`conditional_mean_below` forms the truncated means from the same f
+and F.  It needs no log domain: above its fallback cliff, near
+(z - mu) / sigma = -37, f and F are both normal floats, and the Mills ratio
+f / F stays within 2.3e-13 relative of a 50-digit reference.
 The enhancer calls exactly these functions, except that it checks all
 posteriors at once and then calls the unchecked weighted sums
 :func:`weighted_spp` and :func:`weighted_mmse`, which the two checked
@@ -42,13 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
-from .gauss import _LOG_SQRT_2PI, DENSITY_FLOOR, gaussian_pdf_cdf
+from .gauss import DENSITY_FLOOR, gaussian_pdf_cdf
 from .mog import PhonemeMog
 from .noise import NoiseModel
-
-LOG_DENSITY_FLOOR = np.log(DENSITY_FLOOR)
 
 
 @dataclass
@@ -175,42 +176,41 @@ def generative_posterior(h: np.ndarray, mog: PhonemeMog) -> np.ndarray:
 
 def conditional_mean_below(
     z: np.ndarray,
+    speech: tuple[np.ndarray, np.ndarray],
     mog: PhonemeMog,
     diag: MixmaxDiagnostics | list[MixmaxDiagnostics] | None = None,
 ) -> np.ndarray:
     """E[X_k | X_k < z_k, component i] for all i, k; shape (..., m, K).
 
-    ``z`` is one log-spectrum (K,) or a stack of them (..., K).  The
-    inverse Mills ratio f/F is evaluated as exp(log f − log F) so the deep
-    lower tail stays finite.  Once F itself drops below the density floor
-    the asymptote z − σ is used instead (counted in ``diag``); either way
-    the result sits strictly below z.
+    ``z`` is one log-spectrum (K,) or a stack of them (..., K), and
+    ``speech`` is :func:`speech_terms` of the same ``z``: its f and F are
+    the density and CDF the truncated mean mu - sigma^2 f / F is formed
+    from.  Once F drops below the density floor, the asymptote z - sigma is
+    used instead (counted in ``diag``), as it is for a mean that is not
+    finite; either way the result sits strictly below z.
 
-    Formed in place on three fresh arrays, in the order of
-    ``a = (z - mu) / sigma``, ``ratio = exp(-0.5 * a * a - log sqrt(2 pi)
-    - log F(a))`` and ``mu - sigma * ratio``, so it rounds as those
-    expressions do.
+    No log domain is needed: above that cliff, near a = (z - mu) / sigma =
+    -37, F >= 1e-300 and f is about |a| F / sigma, so both are normal
+    floats and f / F keeps full relative precision.  Against a 50-digit
+    reference the Mills ratio f / F is within 4.2e-15 relative on
+    a in [-5, 8] and within 2.3e-13 on [-37, -20], where the tail of
+    ``ndtr`` sets the error.
+
+    Formed in place on one fresh array, in the order of
+    ``mu - sigma**2 * f / F``, so it rounds as that expression does.
     """
-    z = np.asarray(z, dtype=np.float64)[..., np.newaxis, :]
-    a = np.subtract(z, mog.means)
-    a /= mog.stds
-    log_cdf = log_ndtr(a)
-    fallback = log_cdf < LOG_DENSITY_FLOOR
-    # log of the standard normal pdf at a, shifted by -log sigma for the
-    # actual density; the sigma^2 * f/F term then reduces to sigma * ratio.
-    ratio = np.multiply(-0.5, a)
-    ratio *= a
-    ratio -= _LOG_SQRT_2PI
-    ratio -= log_cdf
-    with np.errstate(over="ignore"):
-        np.exp(ratio, out=ratio)
-    ratio *= mog.stds
-    mean = np.subtract(mog.means, ratio, out=ratio)
+    f, big_f = speech
+    mean = np.multiply(np.square(mog.stds), f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean /= big_f
+    np.subtract(mog.means, mean, out=mean)
 
+    fallback = big_f < DENSITY_FLOOR
     fallback |= ~np.isfinite(mean)
     if diag is not None:
         for d, n in _per_row(diag, fallback):
             d.tail_fallbacks += n
+    z = np.asarray(z, dtype=np.float64)[..., np.newaxis, :]
     return np.subtract(z, mog.stds, out=mean, where=fallback)
 
 

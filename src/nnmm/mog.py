@@ -32,6 +32,9 @@ class PhonemeMog:
         object.__setattr__(self, "stds", sd)
         if mu.ndim != 2 or mu.shape != sd.shape or w.shape != (mu.shape[0],):
             raise ValueError("inconsistent mixture shapes")
+        for name, a in (("weights", w), ("means", mu), ("std-devs", sd)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"mixture {name} must be finite")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         if np.any(sd < SIGMA_FLOOR):
@@ -54,7 +57,6 @@ def train_supervised(
     logspecs: np.ndarray,
     class_indices: np.ndarray,
     n_classes: int,
-    labels: tuple[str, ...] = (),
 ) -> PhonemeMog:
     """Per-class sample moments of labeled log-spectral frames.
 
@@ -70,8 +72,7 @@ def train_supervised(
     counts = np.bincount(y, minlength=n_classes)
     for i, c in enumerate(counts):
         if c < 2:
-            name = labels[i] if labels else f"class {i}"
-            raise ValueError(f"{name}: needs at least 2 frames, got {c}")
+            raise ValueError(f"class {i}: needs at least 2 frames, got {c}")
 
     m, k = n_classes, x.shape[1]
     means = np.zeros((m, k))
@@ -84,7 +85,6 @@ def train_supervised(
         weights=counts / counts.sum(),
         means=means,
         stds=np.maximum(stds, SIGMA_FLOOR),
-        labels=labels,
     )
 
 

@@ -127,8 +127,8 @@ def load_bundle(path: str) -> ModelBundle:
 
     Any content that does not parse or validate raises
     :class:`BundleFormatError`: a label that is not UTF-8, or a value the
-    model types refuse (a mixture weight or std, a classifier weight, a
-    header field), is reported as a bad file naming ``path``, not as the
+    model types refuse (a mixture weight, mean or std, a classifier weight,
+    a header field), is reported as a bad file naming ``path``, not as the
     plain ``ValueError`` the model types raise.
     """
     with open(path, "rb") as fh:

@@ -147,7 +147,8 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
 
     for t in range(spec.n_frames):
         z = logspecs[t]
-        rho, h = speech_dominance(z, speech_terms(z, mog), noise, diag)
+        speech = speech_terms(z, mog)
+        rho, h = speech_dominance(z, speech, noise, diag)
         if cfg.posterior_source == "nn":
             p = forward(net, feats[t])
         else:
@@ -160,7 +161,7 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
         if cfg.estimator == "soft-subtraction":
             xhat = soft_subtract(z, spp, cfg.beta)
         else:
-            xhat, _ = mmse_estimate(z, p, rho, conditional_mean_below(z, mog, diag))
+            xhat, _ = mmse_estimate(z, p, rho, conditional_mean_below(z, speech, mog, diag))
 
         if adapt_noise:
             noise = adapt(noise, z, spp, cfg.alpha)

@@ -140,9 +140,10 @@ def test_c02_mmse_estimate_matches_monte_carlo(scalar_mc):
     assert scalar_mc["mc_time"] < 60.0
     for z, mc in scalar_mc["records"]:
         zv = np.array([z])
-        rho, h = speech_dominance(zv, speech_terms(zv, mog), noise)
+        speech = speech_terms(zv, mog)
+        rho, h = speech_dominance(zv, speech, noise)
         posterior = generative_posterior(h, mog)
-        xhat, _ = mmse_estimate(zv, posterior, rho, conditional_mean_below(zv, mog))
+        xhat, _ = mmse_estimate(zv, posterior, rho, conditional_mean_below(zv, speech, mog))
         closed = xhat[0]
         assert mc["n"] > 500, f"window at z={z} too empty for a meaningful SE"
         assert abs(closed - mc["mean_x"]) < 3 * mc["mean_x_se"], (

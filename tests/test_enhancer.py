@@ -87,6 +87,14 @@ def with_silence_gap(noisy):
     return Waveform(samples=samples, sample_rate=noisy.sample_rate)
 
 
+def named_input(name, clean, noisy):
+    """The white input, a copy whose noise steps up halfway, or the white
+    input with a silence gap."""
+    if name == "step":
+        return noisy_rows(clean, [(6, 5.0, True, False)])[0]
+    return {"white": noisy, "silence-gap": with_silence_gap(noisy)}[name]
+
+
 def count_calls(monkeypatch, names):
     """Count the calls ``nnmm.enhancer`` makes to each named function; a
     name never called stays out of the returned dict."""
@@ -213,15 +221,18 @@ class TestComposition:
 
         manual = np.empty_like(logs)
         for t in range(spec.n_frames):
-            rho, h = speech_dominance(logs[t], speech_terms(logs[t], mog), noise)
+            speech = speech_terms(logs[t], mog)
+            rho, h = speech_dominance(logs[t], speech, noise)
             p = generative_posterior(h, mog)
-            manual[t], _ = mmse_estimate(logs[t], p, rho, conditional_mean_below(logs[t], mog))
+            manual[t], _ = mmse_estimate(logs[t], p, rho,
+                                         conditional_mean_below(logs[t], speech, mog))
 
         # spot-check one frame against the closed form written out
         t = spec.n_frames // 2
-        rho, h = speech_dominance(logs[t], speech_terms(logs[t], mog), noise)
+        speech = speech_terms(logs[t], mog)
+        rho, h = speech_dominance(logs[t], speech, noise)
         p = generative_posterior(h, mog)
-        below = conditional_mean_below(logs[t], mog)
+        below = conditional_mean_below(logs[t], speech, mog)
         expect = p @ (rho * logs[t][np.newaxis, :] + (1.0 - rho) * below)
         np.testing.assert_allclose(manual[t], expect, rtol=0, atol=1e-12)
 
@@ -289,19 +300,24 @@ class TestComposition:
 MODES = [(est, src) for est in ("soft-subtraction", "mixmax-mmse")
          for src in ("nn", "generative")]
 REFERENCE = EnhancerConfig(estimator="mixmax-mmse", posterior_source="generative")
+# Every mode on the white and silence-gap inputs, the exact generative modes
+# on the step input too.  With the NN, the batched forward's rounding
+# compounds through adaptation across the step and moves the final noise
+# model by more than the 1e-14 the white input keeps.
+FRAME_LOOP_CASES = [(est, src, inputs) for est, src in MODES
+                    for inputs in ("white", "step", "silence-gap")
+                    if inputs != "step" or src == "generative"]
 
 
 class TestHoisting:
-    @pytest.mark.parametrize("gap", [False, True], ids=["white", "silence-gap"])
-    @pytest.mark.parametrize("estimator,posterior_source", MODES)
-    def test_matches_frame_loop(self, setup, estimator, posterior_source, gap):
+    @pytest.mark.parametrize("estimator,posterior_source,inputs", FRAME_LOOP_CASES)
+    def test_matches_frame_loop(self, setup, estimator, posterior_source, inputs):
         """Batched NN forward, blockwise speech side and batched subtraction
         and reconstruction reproduce the per-frame loop.  Only the batched
         forward may round differently, so without the NN the samples match
         exactly."""
-        mog, net, _, noisy = setup
-        if gap:
-            noisy = with_silence_gap(noisy)
+        mog, net, clean, noisy = setup
+        noisy = named_input(inputs, clean, noisy)
         cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
         expected, ref = enhance_by_frame(noisy, mog, net, cfg, adapt_noise=True)
         out, report = enhance_utterance(noisy, mog, net, cfg)
@@ -318,26 +334,24 @@ class TestHoisting:
         np.testing.assert_allclose(report.noise.sigma, ref.noise.sigma, rtol=0, atol=1e-14)
         assert report.diagnostics == ref.diagnostics
         assert report.frames_processed == ref.frames_processed
-        if gap:
+        if inputs == "silence-gap":
             assert report.diagnostics.undecidable_bins > 0
 
-    @pytest.mark.parametrize("inputs", ["white", "silence-gap", "three-rows"])
+    @pytest.mark.parametrize("inputs", ["white", "step", "silence-gap", "three-rows"])
     def test_reference_mode_matches_frame_loop(self, setup, inputs):
         """The reference mode takes a block of frames per step; its whole
         report equals the per-frame loop's, and its final noise is the
         prefix model.  Three rows make blocks of 5 frames, and the silence
         gap of two of them spans a block boundary."""
         mog, _, clean, noisy = setup
-        waves = {
-            "white": [noisy],
-            "silence-gap": [with_silence_gap(noisy)],
-            "three-rows": noisy_rows(clean, [(1, 0.0, False, False), (2, 5.0, True, True),
-                                             (3, 10.0, False, True)]),
-        }[inputs]
         if inputs == "three-rows":
+            waves = noisy_rows(clean, [(1, 0.0, False, False), (2, 5.0, True, True),
+                                       (3, 10.0, False, True)])
             pad, hop, block = edge_padding(512), 512 // 4, enhancer.SPEECH_BLOCK // 3
             first, last = -(-(GAP[0] + pad) // hop), (GAP[1] + pad - 512) // hop
             assert block == 5 and first // block < last // block  # whole silent frames
+        else:
+            waves = [named_input(inputs, clean, noisy)]
 
         got = enhancer._run(waves, mog, None, REFERENCE, adapt_noise=False)
         for (y, report), w in zip(got, waves, strict=True):
@@ -353,7 +367,7 @@ class TestHoisting:
                 np.testing.assert_array_equal(report.noise.sigma, noise.sigma)
             np.testing.assert_array_equal(
                 enhance_mixmax_original(w, mog, EnhancerConfig()).samples, expected)
-        if inputs != "white":
+        if inputs in ("silence-gap", "three-rows"):
             assert got[-1][1].diagnostics.undecidable_bins > 0
             assert got[-1][1].diagnostics.tail_fallbacks > 0
 

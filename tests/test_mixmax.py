@@ -52,6 +52,12 @@ def dominance(z, mog, noise, diag=None):
     return speech_dominance(z, speech_terms(z, mog), noise, diag)
 
 
+def truncated(z, mog, diag=None):
+    """conditional_mean_below of frames ``z``, with their speech side formed
+    first."""
+    return conditional_mean_below(z, speech_terms(z, mog), mog, diag)
+
+
 def posterior_at(z, mog, noise):
     """Generative posterior from the density that speech_dominance forms."""
     _, h = dominance(z, mog, noise)
@@ -61,7 +67,7 @@ def posterior_at(z, mog, noise):
 def mmse_at(z, p, mog, noise):
     """MMSE estimate from the per-frame terms, as the enhancer forms them."""
     rho, _ = dominance(z, mog, noise)
-    return mmse_estimate(z, p, rho, conditional_mean_below(z, mog))[0]
+    return mmse_estimate(z, p, rho, truncated(z, mog))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +159,14 @@ class TestMaxDensity:
         zs[2, 1] = -60.0  # deep lower tail: conditional_mean_below falls back
         f, big_f = speech_terms(zs, mog)
         stack_diag, frame_diag = MixmaxDiagnostics(), MixmaxDiagnostics()
-        below = conditional_mean_below(zs, mog, stack_diag)
+        below = conditional_mean_below(zs, (f, big_f), mog, stack_diag)
         assert f.shape == big_f.shape == below.shape == (4, 3, 5)
         for t, z in enumerate(zs):
             f_t, big_f_t = speech_terms(z, mog)
             np.testing.assert_array_equal(f[t], f_t)
             np.testing.assert_array_equal(big_f[t], big_f_t)
-            np.testing.assert_array_equal(below[t], conditional_mean_below(z, mog, frame_diag))
+            np.testing.assert_array_equal(
+                below[t], conditional_mean_below(z, (f_t, big_f_t), mog, frame_diag))
         assert stack_diag == frame_diag and frame_diag.tail_fallbacks > 0
 
 
@@ -303,19 +310,19 @@ class TestConditionalMean:
     def test_at_the_mean(self):
         """Cut at mu: mean of the lower half-Gaussian is mu - sigma*sqrt(2/pi)."""
         mog = single_mog([2.0], [1.5])
-        out = conditional_mean_below(np.array([2.0]), mog)
+        out = truncated(np.array([2.0]), mog)
         np.testing.assert_allclose(out[0, 0], 2.0 - 1.5 * np.sqrt(2 / np.pi), rtol=1e-12)
 
     def test_inactive_truncation(self):
         mog = single_mog([1.0], [0.5])
-        out = conditional_mean_below(np.array([1.0 + 10 * 0.5]), mog)
+        out = truncated(np.array([1.0 + 10 * 0.5]), mog)
         np.testing.assert_allclose(out[0, 0], 1.0, atol=1e-6)
 
     def test_monte_carlo_truncation_oracle(self):
         rng = np.random.default_rng(12)
         for mu, sigma, z in [(0.5, 1.3, 1.0), (-1.0, 0.7, -1.5), (2.0, 2.0, 0.0)]:
             mc_mean, se = mc_truncated_mean(rng, 400_000, mu, sigma, z)
-            closed = conditional_mean_below(np.array([z]), single_mog([mu], [sigma]))[0, 0]
+            closed = truncated(np.array([z]), single_mog([mu], [sigma]))[0, 0]
             assert abs(closed - mc_mean) < 3 * se, f"({mu},{sigma},{z})"
 
     def test_always_below_cut(self):
@@ -325,35 +332,48 @@ class TestConditionalMean:
                          stds=rng.uniform(0.3, 2, (2, 9)))
         for _ in range(30):
             z = rng.normal(0, 6, 9)
-            out = conditional_mean_below(z, mog)
+            out = truncated(z, mog)
             assert np.all(out < z[None, :])
 
     def test_deep_tail_fallback(self):
         """Once F underflows, z - sigma is substituted and counted."""
         mog = single_mog([0.0], [1.0])
         diag = MixmaxDiagnostics()
-        out = conditional_mean_below(np.array([-40.0]), mog, diag)
+        out = truncated(np.array([-40.0]), mog, diag)
         np.testing.assert_allclose(out[0, 0], -41.0)
         assert diag.tail_fallbacks == 1
 
     def test_near_tail_still_analytic(self):
-        """Just above the underflow cliff the stable log-domain path is used."""
+        """Just above the underflow cliff the analytic f / F path is used."""
         mog = single_mog([0.0], [1.0])
         diag = MixmaxDiagnostics()
-        out = conditional_mean_below(np.array([-30.0]), mog, diag)
+        out = truncated(np.array([-30.0]), mog, diag)
         assert diag.tail_fallbacks == 0
         # asymptotic inverse Mills ratio: lambda(-a) ~ a + 1/a
         expected = -30.0 - 1.0 / (30.0 + 1.0 / 30.0)
         np.testing.assert_allclose(out[0, 0], expected, rtol=1e-3)
         assert out[0, 0] < -30.0
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(data=st.data(), t=st.integers(1, 4), b=st.integers(1, 3), m=st.integers(1, 4),
-           k=st.integers(1, 6))
-    def test_in_place_equals_textbook(self, data, t, b, m, k):
-        """The in-place kernel equals the plain expressions bit for bit on a
-        (T, B, K) stack, fallbacks and per-row counts included, and leaves
-        its inputs as they were."""
+    def test_fallback_cliff(self):
+        """On a grid of 200,001 points over a in [-37.1, -37.0] the fallback
+        takes exactly the points below the cliff at a = -37.047, where F
+        reaches the density floor: the points the log-domain test
+        log F(a) < log(DENSITY_FLOOR) selects.  Below it the result is
+        z - sigma, above it the analytic mean."""
+        mog = single_mog([0.0], [1.0])
+        z = np.linspace(-37.1, -37.0, 200_001)
+        diag = MixmaxDiagnostics()
+        out = truncated(z, mog, diag)[0]
+        fallback = out == z - 1.0
+        n = diag.tail_fallbacks
+        assert fallback[:n].all() and not fallback[n:].any()
+        np.testing.assert_array_equal(fallback, log_ndtr(z) < np.log(DENSITY_FLOOR))
+        assert z[n - 1] < -37.04709 and z[n] > -37.04710
+        # just above the cliff: a + 1/a - 2/a^3, the asymptotic series
+        np.testing.assert_allclose(out[n:], z[n:] + 1.0 / z[n:] - 2.0 / z[n:] ** 3, rtol=1e-7)
+
+    @staticmethod
+    def _model_and_frames(data, t, b, m, k):
         def vec(shape, lo, hi):
             return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
 
@@ -362,25 +382,62 @@ class TestConditionalMean:
                          stds=vec((m, k), SIGMA_FLOOR, 3.0))
         zs = vec((t, b, k), -80.0, 30.0)
         zs[0, 0, 0] = -1e3  # deep tail in every example: a fallback
-        inputs = [zs, mog.weights, mog.means, mog.stds]
+        if zs.size > 1:  # and one bin 30 standard deviations below a component mean
+            zs[-1, -1, -1] = mog.means[0, -1] - 30.0 * mog.stds[0, -1]
+        return mog, zs
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), t=st.integers(1, 4), b=st.integers(1, 3), m=st.integers(1, 4),
+           k=st.integers(1, 6))
+    def test_in_place_equals_textbook(self, data, t, b, m, k):
+        """The in-place kernel equals the plain expressions bit for bit on a
+        (T, B, K) stack, fallbacks and per-row counts included, and leaves
+        its inputs as they were."""
+        mog, zs = self._model_and_frames(data, t, b, m, k)
+        f, big_f = speech_terms(zs, mog)
+        inputs = [zs, f, big_f, mog.weights, mog.means, mog.stds]
         before = [a.copy() for a in inputs]
 
         # the textbook expressions
         z = zs[..., np.newaxis, :]
         a = (z - mog.means) / mog.stds
-        log_cdf = log_ndtr(a)
-        with np.errstate(over="ignore"):
-            ratio = np.exp(-0.5 * a * a - 0.5 * np.log(2.0 * np.pi) - log_cdf)
-        mean = mog.means - mog.stds * ratio
-        fallback = (log_cdf < np.log(DENSITY_FLOOR)) | ~np.isfinite(mean)
+        f_plain = np.exp(-0.5 * a * a) / (np.sqrt(2.0 * np.pi) * mog.stds)
+        big_f_plain = ndtr(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = mog.means - mog.stds**2 * f_plain / big_f_plain
+        fallback = (big_f_plain < DENSITY_FLOOR) | ~np.isfinite(mean)
         expected = np.where(fallback, z - mog.stds, mean)
 
         diags = [MixmaxDiagnostics() for _ in range(b)]
-        np.testing.assert_array_equal(conditional_mean_below(zs, mog, diags), expected)
+        np.testing.assert_array_equal(conditional_mean_below(zs, (f, big_f), mog, diags),
+                                      expected)
         assert [d.tail_fallbacks for d in diags] == fallback.sum(axis=(0, 2, 3)).tolist()
         assert diags[0].tail_fallbacks > 0
         for got, want in zip(inputs, before):
             np.testing.assert_array_equal(got, want)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), t=st.integers(1, 4), b=st.integers(1, 3), m=st.integers(1, 4),
+           k=st.integers(1, 6))
+    def test_matches_log_domain(self, data, t, b, m, k):
+        """Outside the fallback the f / F form agrees with the log-domain
+        form exp(log f - log F), kept here as an oracle, to 1e-12 relative
+        on the Mills term sigma f / F.  The term is read back as
+        (mu - result) / sigma, which adds the rounding of mu - result; the
+        absolute slack covers that, and only that."""
+        mog, zs = self._model_and_frames(data, t, b, m, k)
+        got = truncated(zs, mog)
+
+        z = zs[..., np.newaxis, :]
+        a = (z - mog.means) / mog.stds
+        log_cdf = log_ndtr(a)
+        outside = log_cdf >= np.log(DENSITY_FLOOR)
+        mills = np.exp(-0.5 * a * a - 0.5 * np.log(2.0 * np.pi) - log_cdf)
+        read_back = (mog.means - got) / mog.stds
+        slack = 4 * np.spacing(np.maximum(np.abs(mog.means), np.abs(got))) / mog.stds
+        err = np.abs(read_back - mills)
+        assert np.all((err <= 1e-12 * mills + slack)[outside])
+        assert outside.sum() < outside.size  # the deep-tail bin falls back
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +461,7 @@ class TestMmse:
         noise = noise_of(rng.normal(0, 1, 5), rng.uniform(0.5, 1.5, 5))
         z = rng.normal(0, 2, 5)
         rho, _ = dominance(z, mog, noise)
-        below = conditional_mean_below(z, mog)
+        below = truncated(z, mog)
         expected = rho[1] * z + (1 - rho[1]) * below[1]
         out, _ = mmse_estimate(z, np.array([0.0, 1.0]), rho, below)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
@@ -435,7 +492,7 @@ class TestMmse:
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
         rho, _ = dominance(np.zeros(1), mog, noise)
-        below = conditional_mean_below(np.zeros(1), mog)
+        below = truncated(np.zeros(1), mog)
         with pytest.raises(ValueError, match="probability"):
             mmse_estimate(np.zeros(1), np.array([0.4]), rho, below)
 
@@ -560,7 +617,7 @@ class TestKernelProperties:
         assert np.all(p_gen >= 0)
         assert abs(p_gen.sum() - 1.0) < 1e-9
 
-        below = conditional_mean_below(z, mog, diag)
+        below = truncated(z, mog, diag)
         for p in (p_gen, p_ext):
             spp = hybrid_spp(p, rho)
             assert np.all((spp >= 0) & (spp <= 1))
@@ -600,7 +657,7 @@ class TestWorkspaceForms:
         f, big_f = speech_terms(z if layout == "frame" else z[..., 0, :], mog)
         p = vec(frame[:-1] + (m,), 0.01, 1.0)
         p /= p.sum(axis=-1, keepdims=True)
-        below = conditional_mean_below(z if layout == "frame" else z[..., 0, :], mog)
+        below = conditional_mean_below(z if layout == "frame" else z[..., 0, :], (f, big_f), mog)
         inputs = [z, f, big_f, noise.mu, noise.sigma, p, below]
         before = [a.copy() for a in inputs]
         rows = 1 if layout == "frame" else b

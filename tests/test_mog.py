@@ -38,6 +38,23 @@ class TestPhonemeMog:
             PhonemeMog(weights=np.array([1.0]),
                        means=np.zeros((1, 3)), stds=np.full((1, 3), 1e-9))
 
+    @pytest.mark.parametrize("field,value", [
+        ("weights", np.array([np.nan, 0.5, 0.5])),
+        ("weights", np.array([np.inf, 0.5, 0.5])),
+        ("means", np.full((3, 4), np.nan)),
+        ("means", np.array([[0.0, -np.inf, 0.0, 0.0]] * 3)),
+        ("stds", np.full((3, 4), np.inf)),
+        ("stds", np.array([[1.0, 1.0, np.nan, 1.0]] * 3)),
+    ])
+    def test_non_finite_parameter_rejected(self, field, value):
+        """A NaN passes every comparison with a bound and a mean has no
+        bound, so finiteness is checked for each field on its own."""
+        params = {"weights": np.full(3, 1 / 3), "means": np.zeros((3, 4)),
+                  "stds": np.ones((3, 4)), field: value}
+        name = "std-devs" if field == "stds" else field
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PhonemeMog(**params)
+
     def test_default_labels(self):
         mog = PhonemeMog(weights=np.array([0.5, 0.5]),
                          means=np.zeros((2, 3)), stds=np.ones((2, 3)))
@@ -64,7 +81,7 @@ class TestSupervised:
     def test_class_with_one_frame_rejected(self):
         x = np.zeros((3, 4))
         labels = np.array([0, 0, 1])
-        with pytest.raises(ValueError, match="at least 2 frames"):
+        with pytest.raises(ValueError, match="class 1: needs at least 2 frames"):
             train_supervised(x, labels, 2)
 
     def test_sigma_floor_applied(self):
@@ -77,8 +94,11 @@ class TestSupervised:
     def test_custom_labels_kept(self):
         rng = np.random.default_rng(1)
         x, labels = two_cluster_data(rng, n_per=10)
-        mog = train_supervised(x, labels, 2, labels=("aa", "iy"))
-        assert mog.labels == ("aa", "iy")
+        mog = train_supervised(x, labels, 2)
+        assert mog.labels == ("c0", "c1")
+        named = PhonemeMog(weights=mog.weights, means=mog.means, stds=mog.stds,
+                           labels=("aa", "iy"))
+        assert named.labels == ("aa", "iy")
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,7 @@ class TestCorruption:
         ("weights", np.array([0.5, 0.5, 0.5]), "weights"),
         ("stds", np.full((3, 257), 1e-4), "std-devs"),
         ("w2", np.full((3, 17), np.nan), "finite"),
+        ("means", np.full((3, 257), np.nan), "means must be finite"),
     ])
     def test_model_value_refused(self, tmp_path, field, value, message):
         """A value the model types refuse, written over its bytes in a valid
