@@ -185,9 +185,12 @@ def conditional_mean_below(
     ``z`` is one log-spectrum (K,) or a stack of them (..., K), and
     ``speech`` is :func:`speech_terms` of the same ``z``: its f and F are
     the density and CDF the truncated mean mu - sigma^2 f / F is formed
-    from.  Once F drops below the density floor, the asymptote z - sigma is
-    used instead (counted in ``diag``), as it is for a mean that is not
-    finite; either way the result sits strictly below z.
+    from.  Once F drops below the density floor, the lower-tail asymptote
+    z + sigma**2 / (z - mu) is used instead (counted in ``diag``), as it is
+    for a mean that is not finite; either way the result sits strictly
+    below z.  The asymptote is the truncated mean's series z + sigma / a -
+    2 sigma / a**3 + ... cut after its second term, so at the cliff it meets
+    the analytic mean to about 4e-5 sigma.
 
     No log domain is needed: above that cliff, near a = (z - mu) / sigma =
     -37, F >= 1e-300 and f is about |a| F / sigma, so both are normal
@@ -210,8 +213,12 @@ def conditional_mean_below(
     if diag is not None:
         for d, n in _per_row(diag, fallback):
             d.tail_fallbacks += n
-    z = np.asarray(z, dtype=np.float64)[..., np.newaxis, :]
-    return np.subtract(z, mog.stds, out=mean, where=fallback)
+    if fallback.any():  # rare: skips three masked passes over the stack
+        z = np.asarray(z, dtype=np.float64)[..., np.newaxis, :]
+        np.subtract(z, mog.means, out=mean, where=fallback)
+        np.divide(np.square(mog.stds), mean, out=mean, where=fallback)
+        np.add(z, mean, out=mean, where=fallback)
+    return mean
 
 
 def check_posteriors(p: np.ndarray) -> None:

@@ -1,7 +1,13 @@
 """STFT analysis/synthesis, framing arithmetic, and WAV round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
 from nnmm.dsp import (
     ComplexSpectrogram,
@@ -51,6 +57,18 @@ class TestWindow:
             acc[start:start + L] += w2
         interior = acc[L:-L]
         np.testing.assert_allclose(interior, interior[0], atol=1e-12)
+
+    def test_equals_scipy_periodic_hann(self):
+        """The numpy window is scipy's periodic Hann, sqrt'd, bit for bit."""
+        for L in range(8, 4097, 2):
+            np.testing.assert_array_equal(
+                analysis_window(L), np.sqrt(get_window("hann", L, fftbins=True)), err_msg=str(L))
+
+    def test_cached_window_is_read_only(self):
+        win = analysis_window(512)
+        assert analysis_window(512) is win
+        with pytest.raises(ValueError, match="read-only"):
+            win *= 2.0
 
     def test_num_frames_matches_stft(self):
         rng = np.random.default_rng(0)
@@ -190,6 +208,23 @@ class TestWavIO:
         write_wav(path, w)
         back = read_wav(path)
         assert np.max(np.abs(back.samples)) <= 1.0
+
+    def test_only_wav_io_imports_scipy_io(self, tmp_path):
+        """Importing the package and its CLI loads neither scipy.signal nor
+        scipy.io; reading a WAV file then loads scipy.io."""
+        path = tmp_path / "d.wav"
+        write_wav(path, Waveform(samples=np.zeros(100), sample_rate=8000))
+        code = (
+            "import sys, nnmm, nnmm.cli\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.io') if m in sys.modules))\n"
+            f"nnmm.cli.read_wav({str(path)!r})\n"
+            "print('scipy.io' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 class TestSpectrogramValidation:

@@ -336,11 +336,12 @@ class TestConditionalMean:
             assert np.all(out < z[None, :])
 
     def test_deep_tail_fallback(self):
-        """Once F underflows, z - sigma is substituted and counted."""
+        """Once F underflows, the asymptote z + sigma^2 / (z - mu) is
+        substituted and counted."""
         mog = single_mog([0.0], [1.0])
         diag = MixmaxDiagnostics()
         out = truncated(np.array([-40.0]), mog, diag)
-        np.testing.assert_allclose(out[0, 0], -41.0)
+        np.testing.assert_allclose(out[0, 0], -40.025)
         assert diag.tail_fallbacks == 1
 
     def test_near_tail_still_analytic(self):
@@ -358,19 +359,21 @@ class TestConditionalMean:
         """On a grid of 200,001 points over a in [-37.1, -37.0] the fallback
         takes exactly the points below the cliff at a = -37.047, where F
         reaches the density floor: the points the log-domain test
-        log F(a) < log(DENSITY_FLOOR) selects.  Below it the result is
-        z - sigma, above it the analytic mean."""
+        log F(a) < log(DENSITY_FLOOR) selects.  Below it the result is the
+        asymptote z + sigma^2 / (z - mu), above it the analytic mean, and
+        the two meet at the cliff to within 2e-3 sigma."""
         mog = single_mog([0.0], [1.0])
         z = np.linspace(-37.1, -37.0, 200_001)
         diag = MixmaxDiagnostics()
         out = truncated(z, mog, diag)[0]
-        fallback = out == z - 1.0
+        fallback = out == z + 1.0 / z
         n = diag.tail_fallbacks
         assert fallback[:n].all() and not fallback[n:].any()
         np.testing.assert_array_equal(fallback, log_ndtr(z) < np.log(DENSITY_FLOOR))
         assert z[n - 1] < -37.04709 and z[n] > -37.04710
         # just above the cliff: a + 1/a - 2/a^3, the asymptotic series
         np.testing.assert_allclose(out[n:], z[n:] + 1.0 / z[n:] - 2.0 / z[n:] ** 3, rtol=1e-7)
+        assert abs(out[n] - out[n - 1]) <= 2e-3
 
     @staticmethod
     def _model_and_frames(data, t, b, m, k):
@@ -405,8 +408,10 @@ class TestConditionalMean:
         big_f_plain = ndtr(a)
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = mog.means - mog.stds**2 * f_plain / big_f_plain
+        with np.errstate(divide="ignore", over="ignore"):  # read only where fallback
+            asymptote = z + mog.stds**2 / (z - mog.means)
         fallback = (big_f_plain < DENSITY_FLOOR) | ~np.isfinite(mean)
-        expected = np.where(fallback, z - mog.stds, mean)
+        expected = np.where(fallback, asymptote, mean)
 
         diags = [MixmaxDiagnostics() for _ in range(b)]
         np.testing.assert_array_equal(conditional_mean_below(zs, (f, big_f), mog, diags),
