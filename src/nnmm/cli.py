@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import fields
 
@@ -390,10 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_snr(argv: list[str]) -> list[str]:
+    """argparse takes a value such as ``-5,0`` for an option, not for the
+    value of ``--snr``; join the two as ``--snr=-5,0``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--snr" and re.match(r"-\.?\d", arg):
+            out[-1] = f"--snr={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_snr(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -5,10 +5,20 @@ columns folded into the weight matrices.  The objective is the summed
 log-likelihood of the target classes; gradients are analytic and training
 is plain mini-batch gradient ascent with optional momentum.  Everything is
 deterministic given the seed.
+
+Training updates the weights in place.  The full-data objective recorded
+after each epoch is not needed by the next one, so it runs on one worker
+thread, on snapshot copies of the weights, while the next epoch's
+mini-batches run; its matrix product and logistic release the GIL.  The
+results therefore do not depend on thread scheduling.  With a one-thread
+BLAS, training uses a second core when there is one, and it is no slower
+on one core.
 """
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +117,28 @@ def _log_likelihood_arrays(w1, w2, inputs, targets) -> float:
     return float(np.sum(np.log(np.maximum(picked, LIKELIHOOD_FLOOR))))
 
 
-def _gradient_arrays(w1, w2, inputs, targets):
-    """Analytic gradient of the summed log-likelihood w.r.t. (w1, w2)."""
+def _gradient_arrays(w1, w2, inputs, targets, *, out=None):
+    """Analytic gradient of the summed log-likelihood w.r.t. (w1, w2).
+
+    ``out=(g1, g2)`` is a workspace shaped like ``(w1, w2)`` that the
+    gradient is written into and returned as; the products are written into
+    its weight columns, so no stacked copy is made.
+    """
+    g1, g2 = (np.empty_like(w1), np.empty_like(w2)) if out is None else out
     p, h = _forward_arrays(w1, w2, inputs)
 
-    delta2 = -p
+    delta2 = np.negative(p, out=p)
     delta2[np.arange(len(targets)), targets] += 1.0   # one-hot minus posterior
-    delta1 = (delta2 @ w2[:, :-1]) * h * (1.0 - h)
     # weight columns from the layer inputs, bias column as the column sums
-    g2 = np.column_stack([delta2.T @ h, delta2.sum(axis=0)])
-    g1 = np.column_stack([delta1.T @ inputs, delta1.sum(axis=0)])
+    # (summed into a fresh vector: a reduction into the strided column is slow)
+    np.matmul(delta2.T, h, out=g2[:, :-1])
+    g2[:, -1] = delta2.sum(axis=0)
+    delta1 = delta2 @ w2[:, :-1]
+    delta1 *= h
+    np.subtract(1.0, h, out=h)                        # h is spent: 1 - h
+    delta1 *= h
+    np.matmul(delta1.T, inputs, out=g1[:, :-1])
+    g1[:, -1] = delta1.sum(axis=0)
     return g1, g2
 
 
@@ -154,6 +176,10 @@ def train(
     The update uses the per-sample mean gradient so the rate is comparable
     across batch sizes.  Returns the trained classifier and the per-epoch
     mean log-likelihood history (entry 0 is the pre-training value).
+
+    A non-finite objective raises :class:`NumericError`; since each epoch's
+    objective is collected when the next epoch ends, the error may come one
+    epoch late, and no weights are returned either way.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.intp)
@@ -162,8 +188,18 @@ def train(
         raise ValueError("training data must be nonempty with matching lengths")
     if np.any(targets < 0) or np.any(targets >= n_classes):
         raise ValueError("target labels out of range")
+    if n_hidden < 1:
+        raise ValueError(f"n_hidden must be at least 1, got {n_hidden}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be nonnegative, got {epochs}")
+    if not 0.0 <= learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and nonnegative, got {learning_rate}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must be in [0, 1)")
+    if net0 is not None and (net0.n_inputs, net0.n_classes) != (inputs.shape[1], n_classes):
+        raise ValueError("net0 does not match the input dimension and class count")
 
     rng = np.random.default_rng(seed)
     if net0 is None:
@@ -172,21 +208,39 @@ def train(
     w2 = net0.w2.copy()
     vel1 = np.zeros_like(w1)
     vel2 = np.zeros_like(w2)
+    g1 = np.empty_like(w1)
+    g2 = np.empty_like(w2)
 
-    history = [_log_likelihood_arrays(w1, w2, inputs, targets) / n]
+    def objective():
+        # on snapshot copies, since the weights change in place while it
+        # runs, and in the caller's context, so its np.errstate applies
+        return pool.submit(contextvars.copy_context().run, _log_likelihood_arrays,
+                           w1.copy(), w2.copy(), inputs, targets)
 
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            g1, g2 = _gradient_arrays(w1, w2, inputs[idx], targets[idx])
-            vel1 = momentum * vel1 + g1 / len(idx)
-            vel2 = momentum * vel2 + g2 / len(idx)
-            w1 += learning_rate * vel1
-            w2 += learning_rate * vel2
-        mean_ll = _log_likelihood_arrays(w1, w2, inputs, targets) / n
-        if not np.isfinite(mean_ll):
-            raise NumericError("training diverged: log-likelihood is not finite")
-        history.append(mean_ll)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        history = []
+        pending = objective()
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                _gradient_arrays(w1, w2, inputs[idx], targets[idx], out=(g1, g2))
+                for w, vel, g in ((w1, vel1, g1), (w2, vel2, g2)):
+                    vel *= momentum
+                    g /= len(idx)
+                    vel += g
+                    np.multiply(learning_rate, vel, out=g)
+                    w += g
+            _collect(pending, history, n)
+            pending = objective()
+        _collect(pending, history, n)
 
     return NnClassifier(w1=w1, w2=w2), history
+
+
+def _collect(pending, history: list, n: int) -> None:
+    """Append a finished objective, as a mean; entry 0 is not checked."""
+    mean_ll = pending.result() / n
+    if history and not np.isfinite(mean_ll):
+        raise NumericError("training diverged: log-likelihood is not finite")
+    history.append(mean_ll)

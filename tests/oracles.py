@@ -7,7 +7,9 @@ expectations come from plain rejection sampling, so agreement is meaningful
 evidence.  The pipeline references (:func:`stft_by_gather`,
 :func:`istft_by_frame`, :func:`enhance_by_frame`) do the same work one frame
 at a time, in the order a per-frame loop does it, so a batched path that
-keeps the arithmetic must agree with them bit for bit.
+keeps the arithmetic must agree with them bit for bit.  So must the
+classifier trainer, against :func:`train_serial`: the plain serial loop
+with allocating updates and the objective computed in line.
 """
 
 import numpy as np
@@ -32,7 +34,8 @@ from nnmm.mixmax import (
     speech_dominance,
     speech_terms,
 )
-from nnmm.nn import forward
+from nnmm.errors import NumericError
+from nnmm.nn import NnClassifier, _forward_arrays, _log_likelihood_arrays, forward, init_classifier
 from nnmm.noise import adapt, init_from_prefix
 
 
@@ -176,3 +179,46 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
         noise=noise,
     )
     return y[pad:pad + len(w)], report
+
+
+def gradient_stacked(w1, w2, inputs, targets):
+    """The classifier gradient with each bias column stacked on a fresh copy."""
+    p, h = _forward_arrays(w1, w2, inputs)
+    delta2 = -p
+    delta2[np.arange(len(targets)), targets] += 1.0
+    delta1 = (delta2 @ w2[:, :-1]) * h * (1.0 - h)
+    g2 = np.column_stack([delta2.T @ h, delta2.sum(axis=0)])
+    g1 = np.column_stack([delta1.T @ inputs, delta1.sum(axis=0)])
+    return g1, g2
+
+
+def train_serial(inputs, targets, n_classes, n_hidden, epochs, learning_rate, batch_size,
+                 momentum, seed, net0=None):
+    """``nn.train`` as one serial loop: allocating momentum updates, and each
+    epoch's objective computed before the next epoch starts."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    targets = np.asarray(targets, dtype=np.intp)
+    n = inputs.shape[0]
+    rng = np.random.default_rng(seed)
+    if net0 is None:
+        net0 = init_classifier(inputs.shape[1], n_classes, n_hidden, seed=rng.integers(2**32))
+    w1 = net0.w1.copy()
+    w2 = net0.w2.copy()
+    vel1 = np.zeros_like(w1)
+    vel2 = np.zeros_like(w2)
+
+    history = [_log_likelihood_arrays(w1, w2, inputs, targets) / n]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            g1, g2 = gradient_stacked(w1, w2, inputs[idx], targets[idx])
+            vel1 = momentum * vel1 + g1 / len(idx)
+            vel2 = momentum * vel2 + g2 / len(idx)
+            w1 += learning_rate * vel1
+            w2 += learning_rate * vel2
+        mean_ll = _log_likelihood_arrays(w1, w2, inputs, targets) / n
+        if not np.isfinite(mean_ll):
+            raise NumericError("training diverged: log-likelihood is not finite")
+        history.append(mean_ll)
+    return NnClassifier(w1=w1, w2=w2), history

@@ -159,6 +159,21 @@ class TestWorkflow:
         assert len(rows) == 10 > BATCH_ROWS
         assert rows == expected
 
+    def test_evaluate_negative_snr_as_separate_value(self, workspace, tmp_path):
+        """``--snr -5,0``, as the README writes it, parses as ``--snr=-5,0``."""
+        _, corpus, _, full = workspace
+        one = tmp_path / "corpus"
+        shutil.copytree(corpus, one)
+        meta = (one / "corpus.meta").read_text()
+        (one / "corpus.meta").write_text(meta.replace("n_utterances=6", "n_utterances=1"))
+        argv = ["evaluate", "--bundle", str(full), "--corpus", str(one), "--noise", "white"]
+        apart, joined = tmp_path / "apart.csv", tmp_path / "joined.csv"
+        assert main([*argv, "--out", str(apart), "--snr", "-5,0"]) == 0
+        assert main([*argv, "--out", str(joined), "--snr=-5,0"]) == 0
+        with open(apart, newline="") as fh:
+            assert [r["snr_db"] for r in csv.DictReader(fh)] == ["-5.0", "0.0"]
+        assert apart.read_bytes() == joined.read_bytes()
+
     def test_train_mog_em_runs(self, workspace):
         root, corpus, _, _ = workspace
         out = root / "em.nnmm"
@@ -257,6 +272,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.wav")])
         assert code == 2
         assert "train-nn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--batch-size", "0"], "batch_size"),
+        (["--batch-size", "-4"], "batch_size"),
+        (["--epochs", "-1"], "epochs"),
+        (["--hidden", "0"], "n_hidden"),
+        (["--rate", "-0.5"], "learning_rate"),
+    ], ids=["zero-batch", "negative-batch", "negative-epochs", "no-hidden", "negative-rate"])
+    def test_train_nn_bad_setting_is_data_error(self, workspace, tmp_path, capsys,
+                                                flags, name):
+        """A setting that would train nothing, or descend, is named; no
+        bundle is written."""
+        _, corpus, bundle, _ = workspace
+        out = tmp_path / "net.nnmm"
+        assert main(["train-nn", "--corpus", str(corpus), "--bundle", str(bundle),
+                     "--out", str(out), "--hidden", "4", "--epochs", "1", *flags]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_frame_length_conflict_is_usage_error(self, workspace, tmp_path, capsys):
         _, corpus, _, full = workspace

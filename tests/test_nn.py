@@ -1,8 +1,12 @@
 """Classifier forward pass, log-likelihood, analytic gradient, training."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import nnmm.nn
 from nnmm.errors import NumericError
 from nnmm.nn import (
     NnClassifier,
@@ -14,6 +18,8 @@ from nnmm.nn import (
     init_classifier,
     train,
 )
+
+from oracles import gradient_stacked, train_serial
 
 
 def random_net(rng, d=7, h=5, m=3, scale=0.8):
@@ -157,6 +163,21 @@ class TestGradient:
         np.testing.assert_allclose(d1, 2 * g1, rtol=1e-12)
         np.testing.assert_allclose(d2, 2 * g2, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 16, 200])
+    def test_workspace_equals_allocating_form(self, n):
+        """Written into ``out``, every entry equals the allocating form and
+        the gradient with its bias columns stacked on a copy."""
+        rng = np.random.default_rng(n)
+        net = random_net(rng, d=40, h=30, m=4)
+        batch = rng.standard_normal((n, 40))
+        targets = rng.integers(0, 4, n)
+        out = (np.full_like(net.w1, np.nan), np.full_like(net.w2, np.nan))
+        g1, g2 = _gradient_arrays(net.w1, net.w2, batch, targets, out=out)
+        assert g1 is out[0] and g2 is out[1]
+        for form in (_gradient_arrays, gradient_stacked):
+            a1, a2 = form(net.w1, net.w2, batch, targets)
+            assert np.array_equal(g1, a1) and np.array_equal(g2, a2)
+
 
 # ---------------------------------------------------------------------------
 # Training
@@ -216,9 +237,110 @@ class TestTrain:
         with pytest.raises(NumericError, match="diverged"):
             train(x, y, n_classes=3, n_hidden=8, epochs=2, seed=0)
 
+    def test_divergence_in_last_epoch_raises(self):
+        """The last epoch's objective is collected after the loop; a
+        non-finite one still aborts."""
+        rng = np.random.default_rng(12)
+        x, y = blobs(rng, n_per=20)
+        x[3, 0] = np.nan
+        with pytest.raises(NumericError, match="diverged"):
+            train(x, y, n_classes=3, n_hidden=8, epochs=1, seed=0)
+
     def test_bad_targets_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             train(np.zeros((4, 3)), np.array([0, 1, 2, 3]), n_classes=3)
+
+    @pytest.mark.parametrize("setting,name", [
+        ({"batch_size": 0}, "batch_size"),
+        ({"batch_size": -1}, "batch_size"),
+        ({"epochs": -1}, "epochs"),
+        ({"n_hidden": 0}, "n_hidden"),
+        ({"learning_rate": -0.5}, "learning_rate"),
+        ({"learning_rate": np.nan}, "learning_rate"),
+        ({"learning_rate": np.inf}, "learning_rate"),
+    ], ids=["zero-batch", "negative-batch", "negative-epochs", "no-hidden",
+            "negative-rate", "nan-rate", "inf-rate"])
+    def test_bad_setting_rejected(self, setting, name):
+        with pytest.raises(ValueError, match=name):
+            train(np.zeros((4, 3)), np.array([0, 1, 2, 0]), n_classes=3, **setting)
+
+    def test_mismatched_net0_rejected(self):
+        net0 = init_classifier(3, 4, n_hidden=5)
+        with pytest.raises(ValueError, match="net0"):
+            train(np.zeros((4, 3)), np.array([0, 1, 2, 0]), n_classes=3, net0=net0)
+
+
+class TestTrainOverlapped:
+    """``train`` updates in place and computes each epoch's objective on a
+    worker thread; the serial loop in ``oracles`` does neither."""
+
+    @pytest.mark.parametrize("batch_size", [15, 32, 60], ids=["divides", "remainder", "full"])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    @pytest.mark.parametrize("with_net0", [False, True], ids=["init", "net0"])
+    def test_equals_serial_loop(self, batch_size, momentum, epochs, with_net0):
+        rng = np.random.default_rng(14)
+        x, y = blobs(rng, n_per=20)
+        settings = dict(n_classes=3, n_hidden=8, epochs=epochs, learning_rate=0.3,
+                        batch_size=batch_size, momentum=momentum, seed=4,
+                        net0=init_classifier(6, 3, n_hidden=8, seed=5) if with_net0 else None)
+        net, history = train(x, y, **settings)
+        ref, ref_history = train_serial(x, y, **settings)
+        assert np.array_equal(net.w1, ref.w1)
+        assert np.array_equal(net.w2, ref.w2)
+        assert history == ref_history
+        assert len(history) == epochs + 1
+
+    def test_equals_serial_loop_under_fast_switching(self):
+        """Thread switches every microsecond interleave the objective with
+        the in-place updates as finely as the interpreter allows."""
+        rng = np.random.default_rng(17)
+        x, y = blobs(rng, n_per=40, d=20)
+        settings = dict(n_classes=3, n_hidden=30, epochs=4, learning_rate=0.3,
+                        batch_size=8, momentum=0.9, seed=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            net, history = train(x, y, **settings)
+        finally:
+            sys.setswitchinterval(interval)
+        ref, ref_history = train_serial(x, y, **settings)
+        assert np.array_equal(net.w1, ref.w1)
+        assert np.array_equal(net.w2, ref.w2)
+        assert history == ref_history
+
+    def test_worker_joined_on_return(self):
+        rng = np.random.default_rng(15)
+        x, y = blobs(rng, n_per=20)
+        baseline = threading.active_count()
+        train(x, y, n_classes=3, n_hidden=8, epochs=3, seed=0)
+        assert threading.active_count() == baseline
+
+    def test_worker_joined_on_divergence(self):
+        rng = np.random.default_rng(15)
+        x, y = blobs(rng, n_per=20)
+        x[0, 0] = np.nan
+        baseline = threading.active_count()
+        with pytest.raises(NumericError):
+            train(x, y, n_classes=3, n_hidden=8, epochs=3, seed=0)
+        assert threading.active_count() == baseline
+
+    def test_objective_runs_under_callers_errstate(self, monkeypatch):
+        """The worker thread sees the caller's np.errstate, as an objective
+        computed in line would."""
+        seen = []
+        objective = nnmm.nn._log_likelihood_arrays
+
+        def spy(*args):
+            seen.append(np.geterr()["over"])
+            return objective(*args)
+
+        monkeypatch.setattr(nnmm.nn, "_log_likelihood_arrays", spy)
+        rng = np.random.default_rng(16)
+        x, y = blobs(rng, n_per=20)
+        with np.errstate(over="raise"):
+            train(x, y, n_classes=3, n_hidden=8, epochs=2, seed=0)
+        assert seen == ["raise"] * 3
 
 
 class TestAccuracy:
