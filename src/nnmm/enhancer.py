@@ -1,16 +1,20 @@
 """Per-utterance enhancement: features, posteriors, SPP, subtraction, OLA.
 
-Only the noise estimate is recursive, so an utterance runs in three parts:
+Only the noise estimate is recursive, so an utterance runs in three stages,
+private functions that :func:`_run` calls in turn and that pass plain arrays:
 
-* a precompute over all frames that does not depend on noise: STFT and
-  log-spectra, MFCC features and the classifier's posteriors in one batched
-  forward pass, and, a block of frames at a time, the speech side of the
-  max model, f and F (and, for the MMSE estimator, the truncated means
-  formed from them);
-* the recursion, in time order: the noise side of the dominance, the
-  generative posterior where the mode uses it, the SPP (and the MMSE
-  estimate), and the SPP-gated noise update;
-* soft subtraction, reconstruction and overlap-add over all frames at once.
+* :func:`_precompute`, over all frames, does the work that does not depend
+  on the noise: STFT and log-spectra, the noise model of the prefix, and the
+  MFCC features and the classifier's posteriors in one batched forward pass;
+* :func:`_recursion` runs the frames in time order.  A block of frames at a
+  time it forms the speech side of the max model, f and F (and, for the
+  MMSE estimator, the truncated means formed from them); then, step by
+  step, the noise side of the dominance, the generative posterior where the
+  mode uses it, the SPP (and the MMSE estimate), and the SPP-gated noise
+  update;
+* the tail, over all frames at once: soft subtraction and reconstruction,
+  which :func:`_run` does itself so that it drops each whole-utterance
+  array once used, then :func:`_tail`'s overlap-add and reports.
 
 The recursion steps one frame at a time when the noise adapts, since each
 frame reads the model the one before it updated.  With the noise model
@@ -19,20 +23,20 @@ takes a whole block of frames, (T, B, ...) arrays, through the same
 functions; the results are the per-frame ones bit for bit, with a Python
 call per block instead of per frame.
 
-A step allocates nothing and checks nothing.  Each call of ``_run`` makes
-the step's buffers once, in a ``_StepBuffers`` for the step's shape (made
-again only for a short last block) and, when the noise adapts, a spare
-noise model and two scratch arrays.  The step passes them to
-:func:`speech_dominance`, :func:`weighted_spp` or :func:`weighted_mmse` and
-:func:`adapt` through their ``out`` workspaces.  Those run the same code as
-their allocating forms, so the results are bit for bit the same.  ``adapt``
-writes the new model into the spare one, and the model it read becomes the
-next spare.  The buffers belong to one call, so nothing returned shares
-memory with a later call.  The checks that ``adapt`` makes on every call of
-its allocating form run here once per utterance: :func:`check_observations`
-over all log-spectra before the recursion, and :func:`check_spp` over all
-SPPs after it, before any result is formed from them.  ``alpha`` is checked
-by :class:`EnhancerConfig`.
+A step allocates nothing and checks nothing.  Each call of
+:func:`_recursion` makes the step's buffers once, in a ``_StepBuffers`` for
+the step's shape (made again only for a short last block) and, when the
+noise adapts, a spare noise model and two scratch arrays.  The step passes
+them to :func:`speech_dominance`, :func:`weighted_spp` or
+:func:`weighted_mmse` and :func:`adapt` through their ``out`` workspaces.
+Those run the same code as their allocating forms, so the results are bit
+for bit the same.  ``adapt`` writes the new model into the spare one, and
+the model it read becomes the next spare.  The buffers belong to one call,
+so nothing returned shares memory with a later call.  The checks that
+``adapt`` makes on every call of its allocating form run here once per
+utterance: :func:`check_observations` over all log-spectra before the
+recursion, and :func:`check_spp` over all SPPs after it, before any result
+is formed from them.  ``alpha`` is checked by :class:`EnhancerConfig`.
 
 The recursion runs B equal-length utterances, the rows of a batch,
 together: :func:`enhance_batch` takes them, and :func:`enhance_utterance`
@@ -220,32 +224,39 @@ class _StepBuffers:
         self.terms = (np.empty(per_component), np.empty(per_component))
 
 
-def _run(
-    waves: list[Waveform],
-    mog: PhonemeMog,
-    net: NnClassifier | None,
-    cfg: EnhancerConfig,
-    adapt_noise: bool,
-) -> list[tuple[Waveform, EnhancementReport]]:
-    """One recursion over B rows of one length and sample rate."""
+def _precompute(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None,
+                cfg: EnhancerConfig) -> tuple[np.ndarray, np.ndarray, list, NoiseModel]:
+    """The noise-independent start of :func:`_run`.
+
+    Returns the rows' log-spectra (N, B, 1, K), their posteriors
+    (N, B, 1, m), the rows' STFT frames and the noise model of the prefix.
+    The posteriors are the classifier's, checked here, or, for the
+    generative source, an empty array the recursion fills.
+    """
     specs = [stft(w, cfg.frame_length) for w in waves]
     if mog.n_bins != specs[0].n_bins:
         raise ValueError("mixture model bin count does not match frame length")
     logspecs = _time_major([log_spectra(s) for s in specs])
     rate = waves[0].sample_rate
     noise = init_from_prefix(noise_prefix_frames(logspecs, rate, cfg))
-
-    n_frames, n_rows = logspecs.shape[:2]
-    generative = cfg.posterior_source == "generative"
-    if generative:
-        posteriors = np.empty((n_frames, n_rows, 1, mog.n_components))
+    if cfg.posterior_source == "generative":
+        posteriors = np.empty(logspecs.shape[:2] + (1, mog.n_components))
     else:
         posteriors = _time_major([_nn_posteriors(s, rate, mog, net) for s in specs])
         check_posteriors(posteriors)
-    frames = [s.frames for s in specs]
-    del specs
+    return logspecs, posteriors, [s.frames for s in specs], noise
 
-    diags = [MixmaxDiagnostics() for _ in waves]
+
+def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel,
+               mog: PhonemeMog, cfg: EnhancerConfig, adapt_noise: bool,
+               diags: list[MixmaxDiagnostics]) -> tuple[np.ndarray, np.ndarray | None, NoiseModel]:
+    """The frames in time order: SPP, MMSE estimate and noise update.
+
+    Returns every frame's SPP, the MMSE estimate (None for soft
+    subtraction) and the last noise model.  Generative posteriors are
+    written into ``posteriors``.
+    """
+    generative = cfg.posterior_source == "generative"
     mmse = cfg.estimator == "mixmax-mmse"
     spp = np.empty_like(logspecs)
     xhat = np.empty_like(logspecs) if mmse else None
@@ -255,9 +266,9 @@ def _run(
         check_observations(logspecs)
         spare = NoiseModel(mu=noise.mu.copy(), sigma=noise.sigma.copy())
         gate, tmp = np.empty_like(noise.mu), np.empty_like(noise.mu)
-    block = max(1, SPEECH_BLOCK // n_rows)
+    block = max(1, SPEECH_BLOCK // logspecs.shape[1])
     buffers = None
-    for first in range(0, n_frames, block):
+    for first in range(0, len(logspecs), block):
         at = slice(first, first + block)
         zs, ps, spps = logspecs[at], posteriors[at], spp[at]
         f, big_f = speech_terms(zs[:, :, 0], mog)
@@ -285,16 +296,15 @@ def _run(
         check_spp(spp)
     if generative:
         check_posteriors(posteriors)
+    return spp, xhat, noise
 
-    frame_mean_spp = spp.mean(axis=-1)
-    if not mmse:
-        xhat = soft_subtract(logspecs, spp, cfg.beta)
-    # Each whole-utterance array is dropped once used, so the temporaries of
-    # reconstruction and overlap-add do not stack on top of it.
-    del spp, logspecs
-    for b in range(n_rows):
-        frames[b] = reconstruct_frame(xhat[:, b, 0], frames[b])
-    del xhat
+
+def _tail(waves: list[Waveform], cfg: EnhancerConfig, frames: list, frame_mean_spp: np.ndarray,
+          posteriors: np.ndarray, noise: NoiseModel, diags: list[MixmaxDiagnostics]) -> list:
+    """Overlap-add of each row's reconstructed frames, and the row's report.
+
+    Each row's frames are dropped once its waveform is formed.
+    """
     pad = edge_padding(cfg.frame_length)
     results = []
     for b, w in enumerate(waves):
@@ -306,8 +316,31 @@ def _run(
             diagnostics=diags[b],
             noise=NoiseModel(mu=noise.mu[b, 0], sigma=noise.sigma[b, 0]),
         )
-        results.append((Waveform(samples=y[pad:pad + len(w)], sample_rate=rate), report))
+        results.append((Waveform(samples=y[pad:pad + len(w)], sample_rate=w.sample_rate), report))
     return results
+
+
+def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None, cfg: EnhancerConfig,
+         adapt_noise: bool) -> list[tuple[Waveform, EnhancementReport]]:
+    """One recursion over B rows of one length and sample rate: the three
+    stages, with the tail's soft subtraction and reconstruction run here.
+
+    Each whole-utterance array is dropped once used, so the temporaries of
+    reconstruction and overlap-add do not stack on top of it.  The ``del``s
+    free the arrays because nothing else refers to them: the recursion's
+    per-block views of them go when :func:`_recursion` returns.
+    """
+    logspecs, posteriors, frames, noise = _precompute(waves, mog, net, cfg)
+    diags = [MixmaxDiagnostics() for _ in waves]
+    spp, xhat, noise = _recursion(logspecs, posteriors, noise, mog, cfg, adapt_noise, diags)
+    frame_mean_spp = spp.mean(axis=-1)
+    if xhat is None:
+        xhat = soft_subtract(logspecs, spp, cfg.beta)
+    del spp, logspecs
+    for b in range(len(waves)):
+        frames[b] = reconstruct_frame(xhat[:, b, 0], frames[b])
+    del xhat
+    return _tail(waves, cfg, frames, frame_mean_spp, posteriors, noise, diags)
 
 
 def enhance_batch(

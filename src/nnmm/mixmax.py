@@ -18,18 +18,18 @@ every component at the observation, depends only on the noisy frame:
 :func:`speech_terms` forms it for any number of frames at once.  The noise
 side, g and G, changes as the noise model adapts: :func:`speech_dominance`
 forms it for one frame, or for a block of frames under one noise model, and
-combines both sides into ``(rho, h)``, with the same code as
-:func:`max_density`.  :func:`generative_posterior`, :func:`hybrid_spp` and
-:func:`mmse_estimate` take those results instead of recomputing them, and
+combines both sides into ``(rho, h)``, the one place the max density is
+formed.  :func:`generative_posterior`, :func:`weighted_spp` and
+:func:`weighted_mmse` take those results instead of recomputing them, and
 :func:`conditional_mean_below` forms the truncated means from the same f
 and F.  It needs no log domain: above its fallback cliff, near
 (z - mu) / sigma = -37, f and F are both normal floats, and the Mills ratio
 f / F stays within 2.3e-13 relative of a 50-digit reference.
-The enhancer calls exactly these functions, except that it checks all
-posteriors at once and then calls the unchecked weighted sums
-:func:`weighted_spp` and :func:`weighted_mmse`, which the two checked
-functions wrap; so the quadrature and Monte-Carlo checks of this module
-verify the production path.
+The weighted sums do not check their posterior: the enhancer checks all of
+an utterance's posteriors at once with :func:`check_posteriors`.  There is
+one implementation of each formula, and the enhancer runs it, so the
+quadrature and Monte-Carlo checks of this module verify the production
+path.
 
 The functions the enhancer calls also take a batch of frames, one per
 enhancer row: ``z`` and the noise model of shape (B, 1, K), the
@@ -64,40 +64,22 @@ class MixmaxDiagnostics:
         return self.undecidable_bins + self.tail_fallbacks
 
 
-def _per_row(diag: MixmaxDiagnostics | list[MixmaxDiagnostics], mask: np.ndarray):
+def _per_row(diags: list[MixmaxDiagnostics], mask: np.ndarray):
     """Pairs of diagnostics and the number of True entries of ``mask`` it
     takes.
 
-    One ``MixmaxDiagnostics`` takes them all.  A list holds one per batch
-    row, and axis -3 of ``mask``, the axis before a frame's (m, K), indexes
-    the rows; every other axis is summed.
+    ``diags`` holds one per batch row, and axis -3 of ``mask``, the axis
+    before a frame's (m, K), indexes the rows; every other axis is summed.
+    Input without a batch axis, one frame (m, K) or a stack of them, passes
+    one diagnostics.
     """
-    rows = diag if isinstance(diag, list) else [diag]
-    stacked = mask.reshape(-1, len(rows), *mask.shape[-2:])
-    return zip(rows, np.count_nonzero(stacked, axis=(0, 2, 3)).tolist())
+    stacked = mask.reshape(-1, len(diags), *mask.shape[-2:])
+    return zip(diags, np.count_nonzero(stacked, axis=(0, 2, 3)).tolist())
 
 
 # ---------------------------------------------------------------------------
 # elementwise max-of-Gaussians density
 # ---------------------------------------------------------------------------
-
-def _max_terms(speech, z, mu_y, sigma_y, out=None):
-    """The two terms of the max density, f(z) G(z) and F(z) g(z).
-
-    ``speech`` is the pair (f, F) from :func:`gaussian_pdf_cdf` on the
-    speech side.  ``out`` is :func:`speech_dominance`'s workspace.
-    """
-    f, big_f = speech
-    noise_side, speech_term, noise_term = (None, None, None) if out is None else out
-    g, big_g = gaussian_pdf_cdf(z, mu_y, sigma_y, out=noise_side)
-    return np.multiply(f, big_g, speech_term), np.multiply(big_f, g, noise_term)
-
-
-def max_density(z, mu_x, sigma_x, mu_y, sigma_y):
-    """Density of max(X, Y) for independent Gaussians; broadcasts freely."""
-    speech, noise = _max_terms(gaussian_pdf_cdf(z, mu_x, sigma_x), z, mu_y, sigma_y)
-    return speech + noise
-
 
 def speech_terms(z: np.ndarray, mog: PhonemeMog) -> tuple[np.ndarray, np.ndarray]:
     """Speech-side density f and CDF F at the observation, per component.
@@ -113,7 +95,7 @@ def speech_dominance(
     z: np.ndarray,
     speech: tuple[np.ndarray, np.ndarray],
     noise: NoiseModel,
-    diag: MixmaxDiagnostics | list[MixmaxDiagnostics] | None = None,
+    diag: list[MixmaxDiagnostics] | None = None,
     *,
     out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,10 +104,10 @@ def speech_dominance(
     ``speech`` is :func:`speech_terms` of the same frame ``z``.  Returns
     ``(rho, h)``, both of shape (m, K), or (B, m, K) for a batch, or
     (T, B, m, K) for a block of T batched frames under one noise model:
-    ``h`` is :func:`max_density` for every component and bin, the one place
-    the per-frame densities are combined.  Bins where ``h`` itself underflows
-    carry no information either way; their ``rho`` comes back as 0.5 and is
-    counted in ``diag``.
+    ``h = f G + F g`` is the density of max(X, Y) for every component and
+    bin.  Bins where ``h`` itself underflows carry no information either
+    way; their ``rho`` comes back as 0.5 and is counted in ``diag``, one
+    diagnostics per batch row.
 
     One ``h.min()`` test picks the path.  When no bin underflows, ``rho`` is
     ``f G / h`` with no further check: ``f G <= h`` and both are
@@ -141,7 +123,11 @@ def speech_dominance(
     bin underflows, ``rho`` are then returned in ``h`` and ``numer``, and
     nothing is allocated.
     """
-    numer, h = _max_terms(speech, np.asarray(z, dtype=np.float64), noise.mu, noise.sigma, out)
+    f, big_f = speech
+    noise_side, numer, h = (None, None, None) if out is None else out
+    g, big_g = gaussian_pdf_cdf(np.asarray(z, np.float64), noise.mu, noise.sigma, out=noise_side)
+    numer = np.multiply(f, big_g, numer)
+    h = np.multiply(big_f, g, h)
     np.add(h, numer, h)
     if h.min() < DENSITY_FLOOR:
         undecidable = h < DENSITY_FLOOR
@@ -178,7 +164,7 @@ def conditional_mean_below(
     z: np.ndarray,
     speech: tuple[np.ndarray, np.ndarray],
     mog: PhonemeMog,
-    diag: MixmaxDiagnostics | list[MixmaxDiagnostics] | None = None,
+    diag: list[MixmaxDiagnostics] | None = None,
 ) -> np.ndarray:
     """E[X_k | X_k < z_k, component i] for all i, k; shape (..., m, K).
 
@@ -186,7 +172,8 @@ def conditional_mean_below(
     ``speech`` is :func:`speech_terms` of the same ``z``: its f and F are
     the density and CDF the truncated mean mu - sigma^2 f / F is formed
     from.  Once F drops below the density floor, the lower-tail asymptote
-    z + sigma**2 / (z - mu) is used instead (counted in ``diag``), as it is
+    z + sigma**2 / (z - mu) is used instead (counted in ``diag``, one
+    diagnostics per row of axis -3 of the result), as it is
     for a mean that is not finite; either way the result sits strictly
     below z.  The asymptote is the truncated mean's series z + sigma / a -
     2 sigma / a**3 + ... cut after its second term, so at the cliff it meets
@@ -232,16 +219,15 @@ def check_posteriors(p: np.ndarray) -> None:
         raise ValueError("posterior must be a probability vector")
 
 
-def _check_posterior(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (rho.shape[0],):
-        raise ValueError("posterior length must match component count")
-    check_posteriors(p)
-    return p
-
-
 def weighted_spp(posterior: np.ndarray, rho: np.ndarray, *, out=None) -> np.ndarray:
-    """:func:`hybrid_spp` without the posterior check.
+    """Speech presence probability per bin: sum_i p_i rho_ik.
+
+    Mixes the per-component dominance ``rho`` from :func:`speech_dominance`
+    with a component posterior p, the classifier's or the generative one,
+    which :func:`check_posteriors` has accepted; it is not checked here.  A
+    probability vector and ``rho`` in [0, 1] keep every sum non-negative,
+    but the rounding of a sum of terms that add to 1 can land just above 1,
+    so only the upper end is clamped.
 
     Shapes (m,) and (m, K) give (K,); a batch (B, 1, m) and (B, m, K)
     gives (B, 1, K), and a block (T, B, 1, m) and (T, B, m, K) gives
@@ -261,7 +247,16 @@ def weighted_mmse(
     *,
     out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`mmse_estimate` without the posterior check; shapes as in
+    """Posterior-weighted MMSE estimate of the clean log-spectrum, and the
+    SPP.
+
+    Per component the estimate keeps the observation where speech dominates
+    and falls back to the truncated-Gaussian mean where noise does:
+    x̂ = sum_i p_i (rho_i z + (1 - rho_i) E[X | X < z, i]), with ``rho``
+    from :func:`speech_dominance` and ``below`` from
+    :func:`conditional_mean_below` (Nádas, Nahamoo & Picheny, IEEE TASSP
+    1989).  The SPP is :func:`weighted_spp` of the same posterior and
+    ``rho``, which is not checked here either.  Shapes as in
     :func:`weighted_spp`, with ``z`` (K,), (B, 1, K) or (T, B, 1, K).
 
     ``out`` is a workspace ``(xhat, spp, per_component, rest)``: the two
@@ -274,39 +269,6 @@ def weighted_mmse(
     np.multiply(rest, below, rest)
     np.add(per_component, rest, per_component)
     return np.matmul(posterior, per_component, xhat), spp
-
-
-def mmse_estimate(
-    z: np.ndarray,
-    posterior: np.ndarray,
-    rho: np.ndarray,
-    below: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior-weighted MMSE estimate of the clean log-spectrum and the
-    SPP, both length K.
-
-    Per component the estimate keeps the observation where speech dominates
-    and falls back to the truncated-Gaussian mean where noise does:
-    x̂ = rho·z + (1−rho)·E[X | X < z], with ``rho`` from
-    :func:`speech_dominance` and ``below`` from :func:`conditional_mean_below`.
-    The second result is the SPP, :func:`hybrid_spp` of the same posterior
-    and ``rho``.  The posterior is checked once, as :func:`hybrid_spp`
-    checks it.
-    """
-    p = _check_posterior(posterior, rho)
-    return weighted_mmse(np.asarray(z, dtype=np.float64), p, rho, below)
-
-
-def hybrid_spp(p_nn: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Speech presence probability per bin: posterior-weighted dominance.
-
-    Mixes the per-component dominance ``rho`` from :func:`speech_dominance`
-    with a component posterior, either the discriminative classifier's or
-    the generative one.  The posterior is checked here.  A valid posterior
-    and ``rho >= 0`` make every sum non-negative, so only the upper end is
-    clamped, against rounding above 1.
-    """
-    return weighted_spp(_check_posterior(p_nn, rho), rho)
 
 
 def soft_subtract(z: np.ndarray, spp: np.ndarray, beta: float) -> np.ndarray:

@@ -3,8 +3,10 @@
 Architecture: D inputs -> H sigmoid units -> m-way softmax, with bias
 columns folded into the weight matrices.  The objective is the summed
 log-likelihood of the target classes; gradients are analytic and training
-is plain mini-batch gradient ascent with optional momentum.  Everything is
-deterministic given the seed.
+is plain mini-batch gradient ascent with optional momentum.  Given the
+seed, training repeats bit for bit at a fixed BLAS thread count; another
+thread count can round the matrix products differently and so give other
+weights.
 
 Training updates the weights in place.  The full-data objective recorded
 after each epoch is not needed by the next one, so it runs on one worker

@@ -26,13 +26,14 @@ from nnmm.enhancer import EnhancementReport, noise_prefix_frames
 from nnmm.features import feature_matrix
 from nnmm.mixmax import (
     MixmaxDiagnostics,
+    check_posteriors,
     conditional_mean_below,
     generative_posterior,
-    hybrid_spp,
-    mmse_estimate,
     soft_subtract,
     speech_dominance,
     speech_terms,
+    weighted_mmse,
+    weighted_spp,
 )
 from nnmm.errors import NumericError
 from nnmm.nn import NnClassifier, _forward_arrays, _log_likelihood_arrays, forward, init_classifier
@@ -136,14 +137,14 @@ def istft_by_frame(s):
 
 def enhance_by_frame(w, mog, net, cfg, adapt_noise):
     """The enhancer with every step inside one frame loop: per-frame NN
-    forward, speech and noise sides, SPP, estimate, adaptation and
-    reconstruction.  Returns ``(samples, EnhancementReport)``."""
+    forward, speech and noise sides, posterior check, SPP, estimate,
+    adaptation and reconstruction.  Returns ``(samples, EnhancementReport)``."""
     spec = stft_by_gather(w, cfg.frame_length)
     logspecs = log_spectra(spec)
     noise = init_from_prefix(noise_prefix_frames(logspecs, w.sample_rate, cfg))
     feats = feature_matrix(spec, w.sample_rate) if cfg.posterior_source == "nn" else None
 
-    diag = MixmaxDiagnostics()
+    diags = [MixmaxDiagnostics()]
     out = np.empty_like(spec.frames)
     frame_mean_spp = np.empty(spec.n_frames)
     posteriors = np.empty((spec.n_frames, mog.n_components))
@@ -151,20 +152,21 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
     for t in range(spec.n_frames):
         z = logspecs[t]
         speech = speech_terms(z, mog)
-        rho, h = speech_dominance(z, speech, noise, diag)
+        rho, h = speech_dominance(z, speech, noise, diags)
         if cfg.posterior_source == "nn":
             p = forward(net, feats[t])
         else:
             p = generative_posterior(h, mog)
         posteriors[t] = p
 
-        spp = hybrid_spp(p, rho)
+        check_posteriors(p)
+        spp = weighted_spp(p, rho)
         frame_mean_spp[t] = spp.mean()
 
         if cfg.estimator == "soft-subtraction":
             xhat = soft_subtract(z, spp, cfg.beta)
         else:
-            xhat, _ = mmse_estimate(z, p, rho, conditional_mean_below(z, speech, mog, diag))
+            xhat, _ = weighted_mmse(z, p, rho, conditional_mean_below(z, speech, mog, diags))
 
         if adapt_noise:
             noise = adapt(noise, z, spp, cfg.alpha)
@@ -175,7 +177,7 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
     report = EnhancementReport(
         frame_mean_spp=frame_mean_spp,
         posteriors=posteriors,
-        diagnostics=diag,
+        diagnostics=diags[0],
         noise=noise,
     )
     return y[pad:pad + len(w)], report

@@ -25,13 +25,13 @@ from nnmm.dsp import Waveform, edge_padding, istft, stft
 from nnmm.enhancer import EnhancerConfig, enhance_mixmax_original, enhance_utterance
 from nnmm.metrics import segmental_snr
 from nnmm.mixmax import (
+    check_posteriors,
     conditional_mean_below,
     generative_posterior,
-    hybrid_spp,
-    max_density,
-    mmse_estimate,
     speech_dominance,
     speech_terms,
+    weighted_mmse,
+    weighted_spp,
 )
 from nnmm.mog import PhonemeMog, classify_frames, train_supervised
 from nnmm.nn import (
@@ -113,17 +113,28 @@ def scalar_mc():
 # ---------------------------------------------------------------------------
 
 
-def test_c01_max_density_integrates_to_one():
-    """100 random scalar configurations: quadrature of the density is 1+/-1e-5."""
+def test_c01_max_model_density_integrates_to_one():
+    """100 random scalar configurations: quadrature of the density is 1+/-1e-5.
+
+    The density is the ``h`` that ``speech_dominance`` forms for the
+    enhancer, here for a one-component mixture against the noise, with each
+    quadrature point one bin."""
     rng = np.random.default_rng(1)
     t0 = time.monotonic()
     worst = 0.0
+
+    def density(g, mu_x, sigma_x, mu_y, sigma_y):
+        mog = PhonemeMog(weights=np.ones(1), means=np.full((1, len(g)), mu_x),
+                         stds=np.full((1, len(g)), sigma_x))
+        noise = NoiseModel(mu=np.full(len(g), mu_y), sigma=np.full(len(g), sigma_y))
+        return speech_dominance(g, speech_terms(g, mog), noise)[1][0]
+
     for _ in range(100):
         mu_x, mu_y = rng.uniform(-5, 5, 2)
         sigma_x, sigma_y = rng.uniform(0.1, 3.0, 2)
         span = 12 * max(sigma_x, sigma_y)
         total = density_integral(
-            lambda g: max_density(g, mu_x, sigma_x, mu_y, sigma_y),
+            lambda g: density(g, mu_x, sigma_x, mu_y, sigma_y),
             min(mu_x, mu_y) - span,
             max(mu_x, mu_y) + span,
         )
@@ -134,7 +145,7 @@ def test_c01_max_density_integrates_to_one():
     print(f"worst |integral - 1| = {worst:.2e}, {elapsed:.2f} s")
 
 
-def test_c02_mmse_estimate_matches_monte_carlo(scalar_mc):
+def test_c02_weighted_mmse_matches_monte_carlo(scalar_mc):
     """Closed-form E[X | Z=z] within 3 SE of the windowed MC estimate."""
     mog, noise = scalar_mc["mog"], scalar_mc["noise"]
     assert scalar_mc["mc_time"] < 60.0
@@ -143,7 +154,8 @@ def test_c02_mmse_estimate_matches_monte_carlo(scalar_mc):
         speech = speech_terms(zv, mog)
         rho, h = speech_dominance(zv, speech, noise)
         posterior = generative_posterior(h, mog)
-        xhat, _ = mmse_estimate(zv, posterior, rho, conditional_mean_below(zv, speech, mog))
+        check_posteriors(posterior)
+        xhat, _ = weighted_mmse(zv, posterior, rho, conditional_mean_below(zv, speech, mog))
         closed = xhat[0]
         assert mc["n"] > 500, f"window at z={z} too empty for a meaningful SE"
         assert abs(closed - mc["mean_x"]) < 3 * mc["mean_x_se"], (
@@ -160,7 +172,8 @@ def test_c03_speech_dominance_matches_monte_carlo(scalar_mc):
         zv = np.array([z])
         rho, h = speech_dominance(zv, speech_terms(zv, mog), noise)
         posterior = generative_posterior(h, mog)
-        closed = float(hybrid_spp(posterior, rho)[0])
+        check_posteriors(posterior)
+        closed = float(weighted_spp(posterior, rho)[0])
         assert abs(closed - mc["p_dominance"]) < 3 * mc["p_se"], (
             f"z={z}: closed {closed:.4f}, mc {mc['p_dominance']:.4f} "
             f"+/- {mc['p_se']:.4f}"

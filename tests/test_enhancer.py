@@ -34,15 +34,16 @@ from nnmm.enhancer import (
 from nnmm.features import feature_matrix
 from nnmm.mixmax import (
     MixmaxDiagnostics,
+    check_posteriors,
     conditional_mean_below,
     generative_posterior,
-    mmse_estimate,
     soft_subtract,
     speech_dominance,
     speech_terms,
+    weighted_mmse,
 )
 from nnmm.mog import train_supervised
-from nnmm.nn import NnClassifier, forward, train
+from nnmm.nn import NnClassifier, forward, init_classifier, train
 from nnmm.noise import adapt, init_from_prefix
 
 from oracles import enhance_by_frame
@@ -153,6 +154,21 @@ class TestContracts:
         with pytest.raises(ValueError, match="prefix"):
             enhance_utterance(stub, mog, net, EnhancerConfig())
 
+    @pytest.mark.parametrize("mismatch", ["classes", "inputs"])
+    def test_mismatched_classifier_rejected(self, setup, mismatch):
+        """A classifier whose class count differs from the mixture's, or
+        whose input dimension differs from the features', is refused."""
+        mog, net, _, noisy = setup
+        n_inputs, n_classes = net.n_inputs, mog.n_components
+        if mismatch == "classes":
+            n_classes += 1
+        else:
+            n_inputs += 1
+        bad = init_classifier(n_inputs, n_classes, n_hidden=4, seed=0)
+        message = "class count" if mismatch == "classes" else f"expects {n_inputs}-dim inputs"
+        with pytest.raises(ValueError, match=message):
+            enhance_utterance(noisy, mog, bad, EnhancerConfig())
+
     def test_mismatched_frame_length_rejected(self, setup):
         mog, net, _, noisy = setup
         with pytest.raises(ValueError, match="bin count"):
@@ -224,7 +240,8 @@ class TestComposition:
             speech = speech_terms(logs[t], mog)
             rho, h = speech_dominance(logs[t], speech, noise)
             p = generative_posterior(h, mog)
-            manual[t], _ = mmse_estimate(logs[t], p, rho,
+            check_posteriors(p)
+            manual[t], _ = weighted_mmse(logs[t], p, rho,
                                          conditional_mean_below(logs[t], speech, mog))
 
         # spot-check one frame against the closed form written out
@@ -266,7 +283,7 @@ class TestComposition:
         mean_spp = np.empty(spec.n_frames)
         for t in range(spec.n_frames):
             z = logs[t]
-            rho, h = speech_dominance(z, speech_terms(z, mog), noise, diag)
+            rho, h = speech_dominance(z, speech_terms(z, mog), noise, [diag])
             if posterior_source == "nn":
                 p = forward(net, feats[t])
             else:

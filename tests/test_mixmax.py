@@ -5,7 +5,9 @@ density normalization, finite differences of the product CDF for the density
 formula, and rejection sampling for the conditional expectations.  The
 estimators are driven the way the enhancer drives them: ``speech_terms``
 forms the speech side, ``speech_dominance`` adds the noise side and forms
-``(rho, h)`` once, and the posterior, SPP and MMSE estimate reuse it.
+``(rho, h)`` once, and the posterior, SPP and MMSE estimate reuse it; a
+posterior is checked by ``check_posteriors`` before ``weighted_spp`` or
+``weighted_mmse`` weights it.
 """
 
 import numpy as np
@@ -18,11 +20,9 @@ from scipy.special import log_ndtr, ndtr
 from nnmm.gauss import DENSITY_FLOOR, SIGMA_FLOOR, gaussian_pdf_cdf
 from nnmm.mixmax import (
     MixmaxDiagnostics,
+    check_posteriors,
     conditional_mean_below,
     generative_posterior,
-    hybrid_spp,
-    max_density,
-    mmse_estimate,
     soft_subtract,
     speech_dominance,
     speech_terms,
@@ -47,15 +47,36 @@ def noise_of(mu, sigma):
                       sigma=np.atleast_1d(np.asarray(sigma, dtype=float)))
 
 
-def dominance(z, mog, noise, diag=None):
+def dominance(z, mog, noise, diags=None):
     """speech_dominance of one frame, with its speech side formed first."""
-    return speech_dominance(z, speech_terms(z, mog), noise, diag)
+    return speech_dominance(z, speech_terms(z, mog), noise, diags)
 
 
-def truncated(z, mog, diag=None):
+def density_of_max(z, mu_x, sigma_x, mu_y, sigma_y):
+    """The ``h`` of speech_dominance at every point of ``z``, for a
+    one-component mixture N(mu_x, sigma_x) against noise N(mu_y, sigma_y):
+    each point is one bin, and the parameters broadcast over them."""
+    z = np.asarray(z, dtype=float)
+    mog = single_mog(np.broadcast_to(mu_x, z.shape), np.broadcast_to(sigma_x, z.shape))
+    noise = noise_of(np.broadcast_to(mu_y, z.shape), np.broadcast_to(sigma_y, z.shape))
+    return dominance(z, mog, noise)[1][0]
+
+
+def textbook_density(z, mog, noise):
+    """f G + F g per component and bin, written out from np.exp and ndtr."""
+    def pdf_cdf(mu, sigma):
+        a = (z - mu) / sigma
+        return np.exp(-0.5 * a * a) / (np.sqrt(2.0 * np.pi) * sigma), ndtr(a)
+
+    f, big_f = pdf_cdf(mog.means, mog.stds)
+    g, big_g = pdf_cdf(noise.mu, noise.sigma)
+    return f * big_g + big_f * g
+
+
+def truncated(z, mog, diags=None):
     """conditional_mean_below of frames ``z``, with their speech side formed
     first."""
-    return conditional_mean_below(z, speech_terms(z, mog), mog, diag)
+    return conditional_mean_below(z, speech_terms(z, mog), mog, diags)
 
 
 def posterior_at(z, mog, noise):
@@ -64,10 +85,19 @@ def posterior_at(z, mog, noise):
     return generative_posterior(h, mog)
 
 
+def spp_of(p, rho):
+    """The SPP as the enhancer forms it: the posterior checked, then
+    weighted."""
+    check_posteriors(p)
+    return weighted_spp(p, rho)
+
+
 def mmse_at(z, p, mog, noise):
-    """MMSE estimate from the per-frame terms, as the enhancer forms them."""
+    """MMSE estimate from the per-frame terms, as the enhancer forms them:
+    the posterior checked, then weighted."""
+    check_posteriors(p)
     rho, _ = dominance(z, mog, noise)
-    return mmse_estimate(z, p, rho, truncated(z, mog))[0]
+    return weighted_mmse(z, p, rho, truncated(z, mog))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +109,13 @@ class TestMaxDensity:
     def test_noise_free_limit_reduces_to_speech_density(self):
         """With the noise far below, h collapses onto the clean density f."""
         z = np.linspace(-3, 3, 41)
-        h = max_density(z, 0.0, 1.0, -40.0, 0.5)
+        h = density_of_max(z, 0.0, 1.0, -40.0, 0.5)
         f = np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi)
         np.testing.assert_allclose(h, f, rtol=1e-6)
 
     def test_identical_pair_gives_2fF(self):
         z = np.linspace(-2, 4, 25)
-        h = max_density(z, 1.0, 0.7, 1.0, 0.7)
+        h = density_of_max(z, 1.0, 0.7, 1.0, 0.7)
         f = np.exp(-0.5 * ((z - 1) / 0.7) ** 2) / (0.7 * np.sqrt(2 * np.pi))
         big_f = ndtr((z - 1.0) / 0.7)
         np.testing.assert_allclose(h, 2 * f * big_f, rtol=1e-12)
@@ -98,7 +128,7 @@ class TestMaxDensity:
             sx, sy = rng.uniform(0.3, 3.0, 2)
             lo = min(mx - 12 * sx, my - 12 * sy)
             hi = max(mx + 12 * sx, my + 12 * sy)
-            total = density_integral(lambda z: max_density(z, mx, sx, my, sy), lo, hi)
+            total = density_integral(lambda z: density_of_max(z, mx, sx, my, sy), lo, hi)
             assert abs(total - 1.0) < 1e-5
 
     def test_is_derivative_of_product_cdf(self):
@@ -113,7 +143,7 @@ class TestMaxDensity:
                 ndtr((z + eps - mx) / sx) * ndtr((z + eps - my) / sy)
                 - ndtr((z - eps - mx) / sx) * ndtr((z - eps - my) / sy)
             ) / (2 * eps)
-            np.testing.assert_allclose(max_density(z, mx, sx, my, sy), fd,
+            np.testing.assert_allclose(density_of_max(z, mx, sx, my, sy), fd,
                                        rtol=1e-6, atol=1e-12)
 
     def test_mixture_density_integrates_to_one(self):
@@ -126,7 +156,7 @@ class TestMaxDensity:
         def mixture(z):
             out = np.zeros_like(z)
             for i in range(2):
-                out += mog.weights[i] * max_density(
+                out += mog.weights[i] * density_of_max(
                     z, mog.means[i, 0], mog.stds[i, 0], noise.mu[0], noise.sigma[0])
             return out
 
@@ -134,7 +164,7 @@ class TestMaxDensity:
         assert abs(total - 1.0) < 1e-5
 
     def test_dominance_density_shapes_and_log_joint(self):
-        """speech_dominance's h is max_density per component; the generative
+        """speech_dominance's h is f G + F g per component; the generative
         posterior is the normalized weight times the product of its bins."""
         rng = np.random.default_rng(6)
         mog = PhonemeMog(weights=np.array([0.3, 0.7]),
@@ -143,8 +173,7 @@ class TestMaxDensity:
         z = rng.normal(0, 1, 4)
         _, h = dominance(z, mog, noise)
         assert h.shape == (2, 4)
-        np.testing.assert_array_equal(
-            h, max_density(z, mog.means, mog.stds, noise.mu, noise.sigma))
+        np.testing.assert_allclose(h, textbook_density(z, mog, noise), rtol=1e-12)
         joint = mog.weights * np.prod(h, axis=1)
         np.testing.assert_allclose(generative_posterior(h, mog), joint / joint.sum(),
                                    rtol=1e-12)
@@ -159,14 +188,14 @@ class TestMaxDensity:
         zs[2, 1] = -60.0  # deep lower tail: conditional_mean_below falls back
         f, big_f = speech_terms(zs, mog)
         stack_diag, frame_diag = MixmaxDiagnostics(), MixmaxDiagnostics()
-        below = conditional_mean_below(zs, (f, big_f), mog, stack_diag)
+        below = conditional_mean_below(zs, (f, big_f), mog, [stack_diag])
         assert f.shape == big_f.shape == below.shape == (4, 3, 5)
         for t, z in enumerate(zs):
             f_t, big_f_t = speech_terms(z, mog)
             np.testing.assert_array_equal(f[t], f_t)
             np.testing.assert_array_equal(big_f[t], big_f_t)
             np.testing.assert_array_equal(
-                below[t], conditional_mean_below(z, (f_t, big_f_t), mog, frame_diag))
+                below[t], conditional_mean_below(z, (f_t, big_f_t), mog, [frame_diag]))
         assert stack_diag == frame_diag and frame_diag.tail_fallbacks > 0
 
 
@@ -213,7 +242,7 @@ class TestGenerativePosterior:
         mog = single_mog([0.0], [1.0])
         rho, h = dominance(np.array([np.nan]), mog, noise_of([0.0], [1.0]))
         with pytest.raises(ValueError, match="probability vector"):
-            hybrid_spp(generative_posterior(h, mog), rho)
+            spp_of(generative_posterior(h, mog), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +286,7 @@ class TestSpeechDominance:
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
         diag = MixmaxDiagnostics()
-        rho, _ = dominance(np.array([60.0]), mog, noise, diag)
+        rho, _ = dominance(np.array([60.0]), mog, noise, [diag])
         assert rho[0, 0] == 0.5
         assert diag.undecidable_bins == 1
 
@@ -277,7 +306,7 @@ class TestSpeechDominance:
                                             [False, True, False, False]])
 
         diag = MixmaxDiagnostics()
-        rho, h = speech_dominance(z, (f, big_f), noise, diag)
+        rho, h = speech_dominance(z, (f, big_f), noise, [diag])
         np.testing.assert_array_equal(h, h_exp)
         np.testing.assert_array_equal(rho, np.where(und, 0.5, numer / np.where(und, 1.0, h_exp)))
         assert diag.undecidable_bins == 3
@@ -286,7 +315,7 @@ class TestSpeechDominance:
         keep = [0, 2]
         diag = MixmaxDiagnostics()
         rho, _ = speech_dominance(z[keep], (f[:, keep], big_f[:, keep]),
-                                  noise_of(np.zeros(2), np.ones(2)), diag)
+                                  noise_of(np.zeros(2), np.ones(2)), [diag])
         np.testing.assert_array_equal(rho, numer[:, keep] / h_exp[:, keep])
         assert diag.undecidable_bins == 0
 
@@ -340,7 +369,7 @@ class TestConditionalMean:
         substituted and counted."""
         mog = single_mog([0.0], [1.0])
         diag = MixmaxDiagnostics()
-        out = truncated(np.array([-40.0]), mog, diag)
+        out = truncated(np.array([-40.0]), mog, [diag])
         np.testing.assert_allclose(out[0, 0], -40.025)
         assert diag.tail_fallbacks == 1
 
@@ -348,7 +377,7 @@ class TestConditionalMean:
         """Just above the underflow cliff the analytic f / F path is used."""
         mog = single_mog([0.0], [1.0])
         diag = MixmaxDiagnostics()
-        out = truncated(np.array([-30.0]), mog, diag)
+        out = truncated(np.array([-30.0]), mog, [diag])
         assert diag.tail_fallbacks == 0
         # asymptotic inverse Mills ratio: lambda(-a) ~ a + 1/a
         expected = -30.0 - 1.0 / (30.0 + 1.0 / 30.0)
@@ -365,7 +394,7 @@ class TestConditionalMean:
         mog = single_mog([0.0], [1.0])
         z = np.linspace(-37.1, -37.0, 200_001)
         diag = MixmaxDiagnostics()
-        out = truncated(z, mog, diag)[0]
+        out = truncated(z, mog, [diag])[0]
         fallback = out == z + 1.0 / z
         n = diag.tail_fallbacks
         assert fallback[:n].all() and not fallback[n:].any()
@@ -468,7 +497,7 @@ class TestMmse:
         rho, _ = dominance(z, mog, noise)
         below = truncated(z, mog)
         expected = rho[1] * z + (1 - rho[1]) * below[1]
-        out, _ = mmse_estimate(z, np.array([0.0, 1.0]), rho, below)
+        out, _ = weighted_mmse(z, np.array([0.0, 1.0]), rho, below)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_never_exceeds_observation(self):
@@ -496,10 +525,8 @@ class TestMmse:
     def test_bad_posterior_rejected(self):
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
-        rho, _ = dominance(np.zeros(1), mog, noise)
-        below = truncated(np.zeros(1), mog)
         with pytest.raises(ValueError, match="probability"):
-            mmse_estimate(np.zeros(1), np.array([0.4]), rho, below)
+            mmse_at(np.zeros(1), np.array([0.4]), mog, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +540,7 @@ class TestHybridSpp:
                          means=np.zeros((2, 3)), stds=np.ones((2, 3)))
         noise = noise_of(np.full(3, -35.0), np.ones(3))
         rho, _ = dominance(np.zeros(3), mog, noise)
-        spp = hybrid_spp(np.array([0.3, 0.7]), rho)
+        spp = spp_of(np.array([0.3, 0.7]), rho)
         np.testing.assert_allclose(spp, 1.0, atol=1e-12)
 
     def test_one_hot_selects_component_row(self):
@@ -524,7 +551,7 @@ class TestHybridSpp:
         noise = noise_of(rng.normal(0, 1, 4), rng.uniform(0.5, 1.5, 4))
         z = rng.normal(0, 2, 4)
         rho, _ = dominance(z, mog, noise)
-        np.testing.assert_allclose(hybrid_spp(np.array([1.0, 0.0]), rho), rho[0], rtol=1e-12)
+        np.testing.assert_allclose(spp_of(np.array([1.0, 0.0]), rho), rho[0], rtol=1e-12)
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(18)
@@ -541,21 +568,22 @@ class TestHybridSpp:
         for kk in range(k):
             for i in range(m):
                 naive[kk] += p[i] * rho[i, kk]
-        np.testing.assert_allclose(hybrid_spp(p, rho), naive, rtol=1e-12)
+        np.testing.assert_allclose(spp_of(p, rho), naive, rtol=1e-12)
 
     def test_bad_posterior_rejected(self):
+        """A posterior that sums to more than 1 is refused.  (A posterior of
+        the wrong length is refused by the enhancer: see
+        ``tests/test_enhancer.py::TestContracts::test_mismatched_classifier_rejected``.)"""
         rho = np.full((2, 3), 0.5)
-        with pytest.raises(ValueError, match="component count"):
-            hybrid_spp(np.array([1.0]), rho)
         with pytest.raises(ValueError, match="probability"):
-            hybrid_spp(np.array([0.7, 0.7]), rho)
+            spp_of(np.array([0.7, 0.7]), rho)
 
     def test_nan_posterior_rejected(self):
         """NaN compares False both ways, so it must fail the check, not pass
         it and turn every SPP bin into NaN."""
         rho = np.full((3, 4), 0.5)
         with pytest.raises(ValueError, match="probability"):
-            hybrid_spp(np.array([np.nan, 0.5, 0.5]), rho)
+            spp_of(np.array([np.nan, 0.5, 0.5]), rho)
 
 
 class TestSoftSubtract:
@@ -612,21 +640,20 @@ class TestKernelProperties:
     @given(frame_cases())
     def test_per_frame_invariants(self, case):
         mog, noise, z, p_ext = case
-        diag = MixmaxDiagnostics()
-        rho, h = dominance(z, mog, noise, diag)
+        diags = [MixmaxDiagnostics()]
+        rho, h = dominance(z, mog, noise, diags)
         assert np.all((rho >= 0) & (rho <= 1))
-        np.testing.assert_array_equal(
-            h, max_density(z, mog.means, mog.stds, noise.mu, noise.sigma))
+        np.testing.assert_allclose(h, textbook_density(z, mog, noise), rtol=1e-12)
 
         p_gen = generative_posterior(h, mog)
         assert np.all(p_gen >= 0)
         assert abs(p_gen.sum() - 1.0) < 1e-9
 
-        below = truncated(z, mog, diag)
+        below = truncated(z, mog, diags)
         for p in (p_gen, p_ext):
-            spp = hybrid_spp(p, rho)
+            spp = spp_of(p, rho)
             assert np.all((spp >= 0) & (spp <= 1))
-            xhat, spp_mmse = mmse_estimate(z, p, rho, below)
+            xhat, spp_mmse = weighted_mmse(z, p, rho, below)
             assert np.all(xhat <= z + 1e-9)
             np.testing.assert_array_equal(spp_mmse, spp)
 
