@@ -135,6 +135,12 @@ def _add_enhancer_flags(sub: argparse.ArgumentParser) -> None:
                      help="component posterior source")
 
 
+def _check_classifier(cfg: EnhancerConfig, bundle: ModelBundle) -> None:
+    """Refuse the classifier posterior from a bundle that holds no classifier."""
+    if cfg.posterior_source == "nn" and bundle.net is None:
+        raise ValueError("bundle has no classifier; run train-nn or use --posterior generative")
+
+
 def _load_compatible_corpus(args, bundle: ModelBundle):
     utterances, meta = load_corpus(args.corpus)
     if meta["sample_rate"] != bundle.sample_rate:
@@ -240,10 +246,7 @@ def cmd_enhance(args) -> int:
         out = enhance_mixmax_original(wav, bundle.mog, cfg)
         print(f"enhanced {args.infile} (fixed-noise reference mode)")
     else:
-        if cfg.posterior_source == "nn" and bundle.net is None:
-            raise ValueError(
-                "bundle has no classifier; run train-nn or use --posterior generative"
-            )
+        _check_classifier(cfg, bundle)
         out, report = enhance_utterance(wav, bundle.mog, bundle.net, cfg)
         print(f"enhanced {args.infile}: {report.frames_processed} frames, "
               f"mean SPP {report.mean_spp:.3f}, "
@@ -272,10 +275,7 @@ def cmd_classify(args) -> int:
 def cmd_evaluate(args) -> int:
     bundle = load_bundle(args.bundle)
     cfg = build_enhancer_config(_enhancer_settings(args), frame_length=bundle.frame_length)
-    if cfg.posterior_source == "nn" and bundle.net is None:
-        raise ValueError(
-            "bundle has no classifier; run train-nn or use --posterior generative"
-        )
+    _check_classifier(cfg, bundle)
     utterances, meta = _load_compatible_corpus(args, bundle)
     noise_types = [t.strip() for t in args.noise.split(",") if t.strip()]
     for t in noise_types:

@@ -23,20 +23,29 @@ takes a whole block of frames, (T, B, ...) arrays, through the same
 functions; the results are the per-frame ones bit for bit, with a Python
 call per block instead of per frame.
 
-A step allocates nothing and checks nothing.  Each call of
-:func:`_recursion` makes the step's buffers once, in a ``_StepBuffers`` for
-the step's shape (made again only for a short last block) and, when the
-noise adapts, a spare noise model and two scratch arrays.  The step passes
-them to :func:`speech_dominance`, :func:`weighted_spp` or
-:func:`weighted_mmse` and :func:`adapt` through their ``out`` workspaces.
-Those run the same code as their allocating forms, so the results are bit
-for bit the same.  ``adapt`` writes the new model into the spare one, and
-the model it read becomes the next spare.  The buffers belong to one call,
-so nothing returned shares memory with a later call.  The checks that
-``adapt`` makes on every call of its allocating form run here once per
-utterance: :func:`check_observations` over all log-spectra before the
-recursion, and :func:`check_spp` over all SPPs after it, before any result
-is formed from them.  ``alpha`` is checked by :class:`EnhancerConfig`.
+The adaptive step runs once per frame, so it checks nothing and keeps one
+workspace.  Each call of :func:`_recursion` makes, once,
+:func:`speech_dominance`'s buffers for the step's (B, 1, K) frame and
+(B, m, K) components, and a spare noise model and two scratch arrays for
+:func:`adapt`.  The step's SPP and MMSE estimate are written by
+:func:`weighted_spp` and :func:`weighted_mmse` straight into the
+whole-utterance arrays; only the MMSE estimate's per-component terms and
+the generative posterior are formed afresh.  The workspace forms run the
+same code as the allocating ones, so the results are bit for bit the same.
+``adapt`` writes the new model into the spare one, and the model it read
+becomes the next spare.  The buffers belong to one call, so nothing
+returned shares memory with a later call.  The checks that ``adapt`` makes
+on every call of its allocating form run here once per utterance:
+:func:`check_observations` over all log-spectra before the recursion, and
+:func:`check_spp` over all SPPs after it, before any result is formed from
+them.  ``alpha`` is checked by :class:`EnhancerConfig`.  A block step of
+the fixed-noise mode runs once per ``SPEECH_BLOCK`` frame-rows and
+allocates its arrays afresh.
+
+The recursion also owns the fallback counts: two (N, B) integer arrays, the
+undecidable bins and the tail fallbacks of every frame and row, which each
+step's slice is handed to.  :func:`_tail` sums them over the frames into
+each row's :class:`MixmaxDiagnostics`.
 
 The recursion runs B equal-length utterances, the rows of a batch,
 together: :func:`enhance_batch` takes them, and :func:`enhance_utterance`
@@ -207,23 +216,6 @@ def _time_major(rows: list[np.ndarray]) -> np.ndarray:
     return np.stack(rows, axis=1)[:, :, np.newaxis]
 
 
-class _StepBuffers:
-    """Every array one recursion step writes but does not keep.
-
-    ``shape`` is the shape of a step's ``z``: (B, 1, K) for one frame, or
-    (T, B, 1, K) for a block of T frames under the fixed (B, 1, K) noise
-    model.  ``dominance`` is :func:`speech_dominance`'s workspace and
-    ``terms`` the per-component pair of :func:`weighted_mmse`'s.
-    """
-
-    def __init__(self, shape: tuple, n_components: int):
-        self.shape = shape
-        per_component = shape[:-2] + (n_components, shape[-1])
-        noise_side = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape[-3:]))
-        self.dominance = (noise_side, np.empty(per_component), np.empty(per_component))
-        self.terms = (np.empty(per_component), np.empty(per_component))
-
-
 def _precompute(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None,
                 cfg: EnhancerConfig) -> tuple[np.ndarray, np.ndarray, list, NoiseModel]:
     """The noise-independent start of :func:`_run`.
@@ -248,46 +240,48 @@ def _precompute(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None
 
 
 def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel,
-               mog: PhonemeMog, cfg: EnhancerConfig, adapt_noise: bool,
-               diags: list[MixmaxDiagnostics]) -> tuple[np.ndarray, np.ndarray | None, NoiseModel]:
+               mog: PhonemeMog, cfg: EnhancerConfig,
+               adapt_noise: bool) -> tuple[np.ndarray, np.ndarray | None, NoiseModel, tuple]:
     """The frames in time order: SPP, MMSE estimate and noise update.
 
     Returns every frame's SPP, the MMSE estimate (None for soft
-    subtraction) and the last noise model.  Generative posteriors are
-    written into ``posteriors``.
+    subtraction), the last noise model and the (N, B) counts of undecidable
+    bins and of tail fallbacks.  Generative posteriors are written into
+    ``posteriors``.
     """
     generative = cfg.posterior_source == "generative"
     mmse = cfg.estimator == "mixmax-mmse"
     spp = np.empty_like(logspecs)
     xhat = np.empty_like(logspecs) if mmse else None
+    undecidable = np.zeros(logspecs.shape[:2], np.int64)
+    tail = np.zeros(logspecs.shape[:2], np.int64)
 
+    dominance = None
     if adapt_noise:
         # adapt's checks, once per utterance (the SPP's after the recursion)
         check_observations(logspecs)
         spare = NoiseModel(mu=noise.mu.copy(), sigma=noise.sigma.copy())
         gate, tmp = np.empty_like(noise.mu), np.empty_like(noise.mu)
+        per_component = noise.mu.shape[:-2] + (mog.n_components, noise.n_bins)
+        noise_side = [np.empty_like(noise.mu) for _ in range(4)]
+        dominance = (noise_side, np.empty(per_component), np.empty(per_component))
     block = max(1, SPEECH_BLOCK // logspecs.shape[1])
-    buffers = None
     for first in range(0, len(logspecs), block):
         at = slice(first, first + block)
-        zs, ps, spps = logspecs[at], posteriors[at], spp[at]
+        zs, ps, spps, counts = logspecs[at], posteriors[at], spp[at], undecidable[at]
         f, big_f = speech_terms(zs[:, :, 0], mog)
         if mmse:
-            below = conditional_mean_below(zs[:, :, 0], (f, big_f), mog, diags)
+            below = conditional_mean_below(zs[:, :, 0], (f, big_f), mog, tail[at])
             xhats = xhat[at]
         # A step is one frame when the noise adapts, since the next frame
         # reads the updated model, and the whole block when it is fixed.
-        steps = range(len(zs)) if adapt_noise else (slice(None),)
-        shape = zs.shape[1:] if adapt_noise else zs.shape
-        if buffers is None or buffers.shape != shape:  # the first or a short last block
-            buffers = _StepBuffers(shape, mog.n_components)
-        for i in steps:
+        for i in range(len(zs)) if adapt_noise else (slice(None),):
             z, s = zs[i], spps[i]
-            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, diags, out=buffers.dominance)
+            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, counts[i], out=dominance)
             if generative:
                 ps[i, :, 0] = generative_posterior(h, mog)
             if mmse:
-                weighted_mmse(z, ps[i], rho, below[i], out=(xhats[i], s, *buffers.terms))
+                weighted_mmse(z, ps[i], rho, below[i], out=(xhats[i], s))
             else:
                 weighted_spp(ps[i], rho, out=s)
             if adapt_noise:
@@ -296,16 +290,18 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel,
         check_spp(spp)
     if generative:
         check_posteriors(posteriors)
-    return spp, xhat, noise
+    return spp, xhat, noise, (undecidable, tail)
 
 
 def _tail(waves: list[Waveform], cfg: EnhancerConfig, frames: list, frame_mean_spp: np.ndarray,
-          posteriors: np.ndarray, noise: NoiseModel, diags: list[MixmaxDiagnostics]) -> list:
+          posteriors: np.ndarray, noise: NoiseModel, counts: tuple) -> list:
     """Overlap-add of each row's reconstructed frames, and the row's report.
 
-    Each row's frames are dropped once its waveform is formed.
+    ``counts`` is the recursion's (N, B) pair of fallback counts.  Each
+    row's frames are dropped once its waveform is formed.
     """
     pad = edge_padding(cfg.frame_length)
+    undecidable, tail = (c.sum(axis=0).tolist() for c in counts)
     results = []
     for b, w in enumerate(waves):
         y = istft(ComplexSpectrogram(frames=frames[b], frame_length=cfg.frame_length))
@@ -313,7 +309,8 @@ def _tail(waves: list[Waveform], cfg: EnhancerConfig, frames: list, frame_mean_s
         report = EnhancementReport(
             frame_mean_spp=frame_mean_spp[:, b, 0],
             posteriors=posteriors[:, b, 0],
-            diagnostics=diags[b],
+            diagnostics=MixmaxDiagnostics(undecidable_bins=undecidable[b],
+                                          tail_fallbacks=tail[b]),
             noise=NoiseModel(mu=noise.mu[b, 0], sigma=noise.sigma[b, 0]),
         )
         results.append((Waveform(samples=y[pad:pad + len(w)], sample_rate=w.sample_rate), report))
@@ -331,8 +328,7 @@ def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None, cfg: 
     per-block views of them go when :func:`_recursion` returns.
     """
     logspecs, posteriors, frames, noise = _precompute(waves, mog, net, cfg)
-    diags = [MixmaxDiagnostics() for _ in waves]
-    spp, xhat, noise = _recursion(logspecs, posteriors, noise, mog, cfg, adapt_noise, diags)
+    spp, xhat, noise, counts = _recursion(logspecs, posteriors, noise, mog, cfg, adapt_noise)
     frame_mean_spp = spp.mean(axis=-1)
     if xhat is None:
         xhat = soft_subtract(logspecs, spp, cfg.beta)
@@ -340,7 +336,7 @@ def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None, cfg: 
     for b in range(len(waves)):
         frames[b] = reconstruct_frame(xhat[:, b, 0], frames[b])
     del xhat
-    return _tail(waves, cfg, frames, frame_mean_spp, posteriors, noise, diags)
+    return _tail(waves, cfg, frames, frame_mean_spp, posteriors, noise, counts)
 
 
 def enhance_batch(

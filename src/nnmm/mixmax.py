@@ -33,12 +33,21 @@ path.
 
 The functions the enhancer calls also take a batch of frames, one per
 enhancer row: ``z`` and the noise model of shape (B, 1, K), the
-per-component arrays (B, m, K) and the posteriors (B, 1, m).  Counters then
-go to a list of diagnostics, one per row.  With the noise model fixed they
-also take a block of T such frames, a leading T axis on ``z``, the
-per-component arrays and the posteriors; the noise model stays (B, 1, K)
-and broadcasts.  All functions are pure, apart from those counters and the
-``out`` workspaces a caller hands them; models are immutable.
+per-component arrays (B, m, K) and the posteriors (B, 1, m).  With the
+noise model fixed they also take a block of T such frames, a leading T axis
+on ``z``, the per-component arrays and the posteriors; the noise model
+stays (B, 1, K) and broadcasts.
+
+The two numerical fallbacks are counted per frame and row.
+:func:`speech_dominance` and :func:`conditional_mean_below` take
+``counts``, an integer array with the leading axes of their per-component
+result: () for one frame (m, K), (B,) for a batch, (T, B) for a block.
+Each adds the fallbacks of every frame and row to its entry, in place, so a
+caller that holds an (N, B) array per fallback, as the enhancer's recursion
+does, hands in the slice of the frames it runs.  One frame's entry is the
+0-d view ``counts[t, b, ...]``: a scalar cannot be added to in place, and
+is refused.  All functions are pure, apart from those counts and the
+``out`` arrays a caller hands them; models are immutable.
 """
 
 from __future__ import annotations
@@ -64,19 +73,6 @@ class MixmaxDiagnostics:
         return self.undecidable_bins + self.tail_fallbacks
 
 
-def _per_row(diags: list[MixmaxDiagnostics], mask: np.ndarray):
-    """Pairs of diagnostics and the number of True entries of ``mask`` it
-    takes.
-
-    ``diags`` holds one per batch row, and axis -3 of ``mask``, the axis
-    before a frame's (m, K), indexes the rows; every other axis is summed.
-    Input without a batch axis, one frame (m, K) or a stack of them, passes
-    one diagnostics.
-    """
-    stacked = mask.reshape(-1, len(diags), *mask.shape[-2:])
-    return zip(diags, np.count_nonzero(stacked, axis=(0, 2, 3)).tolist())
-
-
 # ---------------------------------------------------------------------------
 # elementwise max-of-Gaussians density
 # ---------------------------------------------------------------------------
@@ -95,7 +91,7 @@ def speech_dominance(
     z: np.ndarray,
     speech: tuple[np.ndarray, np.ndarray],
     noise: NoiseModel,
-    diag: list[MixmaxDiagnostics] | None = None,
+    counts: np.ndarray | None = None,
     *,
     out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,8 +102,8 @@ def speech_dominance(
     (T, B, m, K) for a block of T batched frames under one noise model:
     ``h = f G + F g`` is the density of max(X, Y) for every component and
     bin.  Bins where ``h`` itself underflows carry no information either
-    way; their ``rho`` comes back as 0.5 and is counted in ``diag``, one
-    diagnostics per batch row.
+    way; their ``rho`` comes back as 0.5, and each frame's count of them is
+    added to its entry of ``counts``.
 
     One ``h.min()`` test picks the path.  When no bin underflows, ``rho`` is
     ``f G / h`` with no further check: ``f G <= h`` and both are
@@ -131,9 +127,8 @@ def speech_dominance(
     np.add(h, numer, h)
     if h.min() < DENSITY_FLOOR:
         undecidable = h < DENSITY_FLOOR
-        if diag is not None:
-            for d, n in _per_row(diag, undecidable):
-                d.undecidable_bins += n
+        if counts is not None:
+            np.add(counts, np.count_nonzero(undecidable, axis=(-2, -1)), out=counts)
         rho = np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h))
         return np.clip(rho, 0.0, 1.0), h
     np.divide(numer, h, numer)
@@ -164,7 +159,7 @@ def conditional_mean_below(
     z: np.ndarray,
     speech: tuple[np.ndarray, np.ndarray],
     mog: PhonemeMog,
-    diag: list[MixmaxDiagnostics] | None = None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """E[X_k | X_k < z_k, component i] for all i, k; shape (..., m, K).
 
@@ -172,12 +167,12 @@ def conditional_mean_below(
     ``speech`` is :func:`speech_terms` of the same ``z``: its f and F are
     the density and CDF the truncated mean mu - sigma^2 f / F is formed
     from.  Once F drops below the density floor, the lower-tail asymptote
-    z + sigma**2 / (z - mu) is used instead (counted in ``diag``, one
-    diagnostics per row of axis -3 of the result), as it is
-    for a mean that is not finite; either way the result sits strictly
-    below z.  The asymptote is the truncated mean's series z + sigma / a -
-    2 sigma / a**3 + ... cut after its second term, so at the cliff it meets
-    the analytic mean to about 4e-5 sigma.
+    z + sigma**2 / (z - mu) is used instead, as it is for a mean that is
+    not finite, and each frame's count of such bins is added to its entry
+    of ``counts``; either way the result sits strictly below z.  The
+    asymptote is the truncated mean's series z + sigma / a - 2 sigma / a**3
+    + ... cut after its second term, so at the cliff it meets the analytic
+    mean to about 4e-5 sigma.
 
     No log domain is needed: above that cliff, near a = (z - mu) / sigma =
     -37, F >= 1e-300 and f is about |a| F / sigma, so both are normal
@@ -197,9 +192,8 @@ def conditional_mean_below(
 
     fallback = big_f < DENSITY_FLOOR
     fallback |= ~np.isfinite(mean)
-    if diag is not None:
-        for d, n in _per_row(diag, fallback):
-            d.tail_fallbacks += n
+    if counts is not None:
+        np.add(counts, np.count_nonzero(fallback, axis=(-2, -1)), out=counts)
     if fallback.any():  # rare: skips three masked passes over the stack
         z = np.asarray(z, dtype=np.float64)[..., np.newaxis, :]
         np.subtract(z, mog.means, out=mean, where=fallback)
@@ -259,13 +253,12 @@ def weighted_mmse(
     ``rho``, which is not checked here either.  Shapes as in
     :func:`weighted_spp`, with ``z`` (K,), (B, 1, K) or (T, B, 1, K).
 
-    ``out`` is a workspace ``(xhat, spp, per_component, rest)``: the two
-    results, and two float64 arrays of ``rho``'s shape for the
-    per-component estimate; nothing is then allocated."""
-    xhat, spp, per_component, rest = (None, None, None, None) if out is None else out
+    With ``out``, a pair ``(xhat, spp)`` of float64 arrays of the results'
+    shapes, the results are written there."""
+    xhat, spp = (None, None) if out is None else out
     spp = weighted_spp(posterior, rho, out=spp)
-    per_component = np.multiply(rho, z, per_component)
-    rest = np.subtract(1.0, rho, rest)
+    per_component = np.multiply(rho, z)
+    rest = np.subtract(1.0, rho)
     np.multiply(rest, below, rest)
     np.add(per_component, rest, per_component)
     return np.matmul(posterior, per_component, xhat), spp

@@ -37,15 +37,6 @@ class NoiseModel:
         if (sigma < SIGMA_FLOOR).any():
             raise ValueError(f"sigma must be >= {SIGMA_FLOOR}")
 
-    @classmethod
-    def _unchecked(cls, mu: np.ndarray, sigma: np.ndarray) -> NoiseModel:
-        """A model from float64 (K,) arrays that are valid by construction;
-        skips ``__post_init__``."""
-        model = object.__new__(cls)
-        object.__setattr__(model, "mu", mu)
-        object.__setattr__(model, "sigma", sigma)
-        return model
-
     @property
     def n_bins(self) -> int:
         return self.mu.shape[-1]
@@ -94,19 +85,20 @@ def adapt(
     Checks run on the inputs only: the frame and SPP match the model's
     length, ``alpha`` lies in (0, 1), the SPP in [0, 1] (NaN fails) and the
     frame is finite.  ``model`` was checked when it was built.  The
-    result is not checked again: its mean blends finite values with weights
-    in [0, 1] and its std is floored at ``SIGMA_FLOOR``, so it is valid by
-    construction.  Both are formed in place, in the order of the textbook
-    recursion, so they round as its expressions do.
+    result needs no check of its own: its mean blends finite values with
+    weights in [0, 1] and its std is floored at ``SIGMA_FLOOR``, so it is
+    valid by construction.  Both are formed in place, in the order of the
+    textbook recursion, so they round as its expressions do.
 
-    Without ``out`` the result is a new model on fresh arrays.  ``out`` is
-    a workspace ``(into, gate, tmp)``: a model of ``model``'s shape that
-    shares no array with it, whose arrays are overwritten with the result
-    and which is returned, and two float64 scratch arrays of that shape;
-    nothing is then allocated.  That form is the enhancer's per-frame step
-    and checks nothing: its caller checks a whole utterance's observations
-    and SPP at once with :func:`check_observations` and :func:`check_spp`,
-    and ``alpha`` is checked by the enhancer's config.
+    Without ``out`` the result is written into a new model, built (and
+    checked) as a copy of ``model``.  ``out`` is a workspace
+    ``(into, gate, tmp)``: a model of ``model``'s shape that shares no array
+    with it, whose arrays are overwritten with the result and which is
+    returned, and two float64 scratch arrays of that shape; nothing is then
+    allocated.  That form is the enhancer's per-frame step and checks
+    nothing: its caller checks a whole utterance's observations and SPP at
+    once with :func:`check_observations` and :func:`check_spp`, and
+    ``alpha`` is checked by the enhancer's config.
     """
     if out is None:
         z = np.asarray(z, dtype=np.float64)
@@ -117,24 +109,24 @@ def adapt(
             raise ValueError("alpha must be in (0, 1)")
         check_spp(rho)
         check_observations(z)
-        into, gate, tmp = None, None, None
+        into, gate, tmp = NoiseModel(mu=model.mu.copy(), sigma=model.sigma.copy()), None, None
     else:
         rho = spp
         into, gate, tmp = out
-    mu, sigma = (None, None) if into is None else (into.mu, into.sigma)
+    mu, sigma = into.mu, into.sigma
     # Output arrays are named positionally, the cheapest form of a numpy
     # call, which counts in a step that runs once per frame; np.maximum
     # alone takes ``out=``, as its positional form is deprecated.
     # mu = rho*mu + (1-rho)*(alpha*z + (1-alpha)*mu)
     gate = np.subtract(1.0, rho, gate)
     tmp = np.multiply(1.0 - alpha, model.mu, tmp)
-    mu = np.multiply(alpha, z, mu)
+    np.multiply(alpha, z, mu)
     np.add(mu, tmp, mu)
     np.multiply(mu, gate, mu)
     np.multiply(rho, model.mu, tmp)
     np.add(mu, tmp, mu)
     # sigma = rho*sigma + (1-rho)*(alpha*|z - mu| + (1-alpha)*sigma)
-    sigma = np.subtract(z, mu, sigma)
+    np.subtract(z, mu, sigma)
     np.abs(sigma, sigma)
     np.multiply(sigma, alpha, sigma)
     np.multiply(1.0 - alpha, model.sigma, tmp)
@@ -143,4 +135,4 @@ def adapt(
     np.multiply(rho, model.sigma, tmp)
     np.add(sigma, tmp, sigma)
     np.maximum(sigma, SIGMA_FLOOR, out=sigma)
-    return NoiseModel._unchecked(mu, sigma) if into is None else into
+    return into

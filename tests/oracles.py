@@ -144,7 +144,7 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
     noise = init_from_prefix(noise_prefix_frames(logspecs, w.sample_rate, cfg))
     feats = feature_matrix(spec, w.sample_rate) if cfg.posterior_source == "nn" else None
 
-    diags = [MixmaxDiagnostics()]
+    undecidable, tail = np.zeros((), np.int64), np.zeros((), np.int64)
     out = np.empty_like(spec.frames)
     frame_mean_spp = np.empty(spec.n_frames)
     posteriors = np.empty((spec.n_frames, mog.n_components))
@@ -152,7 +152,7 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
     for t in range(spec.n_frames):
         z = logspecs[t]
         speech = speech_terms(z, mog)
-        rho, h = speech_dominance(z, speech, noise, diags)
+        rho, h = speech_dominance(z, speech, noise, undecidable)
         if cfg.posterior_source == "nn":
             p = forward(net, feats[t])
         else:
@@ -166,7 +166,7 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
         if cfg.estimator == "soft-subtraction":
             xhat = soft_subtract(z, spp, cfg.beta)
         else:
-            xhat, _ = weighted_mmse(z, p, rho, conditional_mean_below(z, speech, mog, diags))
+            xhat, _ = weighted_mmse(z, p, rho, conditional_mean_below(z, speech, mog, tail))
 
         if adapt_noise:
             noise = adapt(noise, z, spp, cfg.alpha)
@@ -177,7 +177,8 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
     report = EnhancementReport(
         frame_mean_spp=frame_mean_spp,
         posteriors=posteriors,
-        diagnostics=diags[0],
+        diagnostics=MixmaxDiagnostics(undecidable_bins=int(undecidable),
+                                      tail_fallbacks=int(tail)),
         noise=noise,
     )
     return y[pad:pad + len(w)], report

@@ -264,14 +264,33 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
-    def test_nn_posterior_without_net_is_data_error(self, workspace, tmp_path, capsys):
-        """A mixture-only bundle cannot drive the classifier posterior."""
+    @staticmethod
+    def _mixture_only_run(command, workspace, out):
         _, corpus, bundle, _ = workspace
-        noisy = sorted(corpus.glob("*.wav"))[0]
-        code = main(["enhance", "--bundle", str(bundle), "--in", str(noisy),
-                     "--out", str(tmp_path / "x.wav")])
-        assert code == 2
-        assert "train-nn" in capsys.readouterr().err
+        if command == "enhance":
+            return ["enhance", "--bundle", str(bundle), "--in",
+                    str(sorted(corpus.glob("*.wav"))[0]), "--out", str(out)]
+        return ["evaluate", "--bundle", str(bundle), "--corpus", str(corpus),
+                "--out", str(out), "--snr", "5"]
+
+    def test_nn_posterior_without_net_is_data_error(self, workspace, tmp_path, capsys):
+        """A mixture-only bundle cannot drive the classifier posterior:
+        enhance and evaluate both refuse it with one message and write
+        nothing."""
+        for command in ("enhance", "evaluate"):
+            out = tmp_path / command
+            assert main(self._mixture_only_run(command, workspace, out)) == 2
+            assert capsys.readouterr().err == ("error: bundle has no classifier; run train-nn "
+                                               "or use --posterior generative\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["enhance", "evaluate"])
+    def test_mixture_only_bundle_runs_generative(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = self._mixture_only_run(command, workspace, out) + ["--posterior", "generative"]
+        assert main(argv) == 0
+        assert out.exists()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("flags,name", [
         (["--batch-size", "0"], "batch_size"),

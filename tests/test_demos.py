@@ -2,14 +2,17 @@
 with ``PYTHONPATH=src``.
 
 Demo 01 round-trips a signal through the STFT and ISTFT, demo 02 builds a
-labeled corpus, demo 03 trains both models and demo 05 runs adaptive
-enhancement across a noise level step.  Demo 04 is left out because it
-writes WAV files next to itself.  Together with the quickstart they import
-names through ``nnmm`` only, so they guard the package's ``__all__``.
+labeled corpus, demo 03 trains both models, demo 04 enhances and scores an
+utterance and demo 05 runs adaptive enhancement across a noise level step.
+Demo 04 writes WAV files next to itself, so it runs from a copy in a
+temporary directory.  Together with the quickstart they import names
+through ``nnmm`` only, so they guard the package's ``__all__``; demo 04 is
+the one that imports ``write_wav`` and ``log_spectral_distance``.
 """
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +33,15 @@ def run_python(args):
 def test_demo_exits_cleanly(demo):
     result = run_python([str(ROOT / "demos" / demo)])
     assert result.returncode == 0, result.stderr
+
+
+def test_enhance_demo_writes_its_wavs(tmp_path):
+    demo = tmp_path / "04_enhance.py"
+    shutil.copy(ROOT / "demos" / "04_enhance.py", demo)
+    result = run_python([str(demo)])
+    assert result.returncode == 0, result.stderr
+    assert "default run:" in result.stdout
+    assert (tmp_path / "noisy.wav").exists() and (tmp_path / "enhanced.wav").exists()
 
 
 def test_readme_quickstart_runs():

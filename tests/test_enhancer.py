@@ -44,7 +44,7 @@ from nnmm.mixmax import (
 )
 from nnmm.mog import train_supervised
 from nnmm.nn import NnClassifier, forward, init_classifier, train
-from nnmm.noise import adapt, init_from_prefix
+from nnmm.noise import NoiseModel, adapt, init_from_prefix
 
 from oracles import enhance_by_frame
 
@@ -144,8 +144,10 @@ class TestContracts:
 
     def test_nn_posterior_requires_net(self, setup):
         mog, _, _, noisy = setup
-        with pytest.raises(ValueError, match="classifier"):
+        with pytest.raises(ValueError, match="requires a trained classifier"):
             enhance_utterance(noisy, mog, None, EnhancerConfig())
+        with pytest.raises(ValueError, match="requires a trained classifier"):
+            enhance_batch([noisy, noisy], mog, None, EnhancerConfig())
 
     def test_too_short_utterance_rejected(self, setup):
         mog, net, _, _ = setup
@@ -279,11 +281,11 @@ class TestComposition:
         noise = init_from_prefix(noise_prefix_frames(logs, 16000, cfg))
         feats = feature_matrix(spec, 16000)
 
-        diag = MixmaxDiagnostics()
+        undecidable = np.zeros((), np.int64)
         mean_spp = np.empty(spec.n_frames)
         for t in range(spec.n_frames):
             z = logs[t]
-            rho, h = speech_dominance(z, speech_terms(z, mog), noise, [diag])
+            rho, h = speech_dominance(z, speech_terms(z, mog), noise, undecidable)
             if posterior_source == "nn":
                 p = forward(net, feats[t])
             else:
@@ -294,13 +296,13 @@ class TestComposition:
             assert np.all(xhat <= z + 1e-15)
             assert np.all(xhat >= z - cfg.beta - 1e-15)
             noise = adapt(noise, z, spp, cfg.alpha)
-        assert diag.undecidable_bins > 0
+        assert undecidable > 0
 
         _, report = enhance_utterance(noisy, mog, net, cfg)
         np.testing.assert_allclose(report.frame_mean_spp, mean_spp, atol=1e-14)
         np.testing.assert_allclose(report.noise.mu, noise.mu, atol=1e-14)
         np.testing.assert_allclose(report.noise.sigma, noise.sigma, atol=1e-14)
-        assert report.diagnostics == diag
+        assert report.diagnostics == MixmaxDiagnostics(undecidable_bins=int(undecidable))
 
     def test_full_loop_replication(self, setup):
         self.replay_full_loop(setup, "nn")
@@ -387,6 +389,34 @@ class TestHoisting:
         if inputs in ("silence-gap", "three-rows"):
             assert got[-1][1].diagnostics.undecidable_bins > 0
             assert got[-1][1].diagnostics.tail_fallbacks > 0
+
+    def test_block_step_counts_are_per_frame(self, setup):
+        """The recursion keeps its fallback counts per frame and row, (N, B).
+        With the noise fixed a step takes a block of frames, and each entry
+        still equals the count of that frame alone against its row's prefix
+        noise model; the rows' diagnostics are the column sums."""
+        mog, _, clean, _ = setup
+        waves = noisy_rows(clean, [(1, 0.0, False, False), (2, 5.0, True, True),
+                                   (3, 10.0, False, True)])
+        logspecs, posteriors, _, noise = enhancer._precompute(waves, mog, None, REFERENCE)
+        *_, (undecidable, tail) = enhancer._recursion(logspecs, posteriors, noise, mog,
+                                                      REFERENCE, adapt_noise=False)
+        assert undecidable.shape == tail.shape == logspecs.shape[:2]
+
+        want_undecidable, want_tail = np.zeros_like(undecidable), np.zeros_like(tail)
+        for t, b in np.ndindex(*undecidable.shape):
+            z = logspecs[t, b, 0]
+            row = NoiseModel(mu=noise.mu[b, 0], sigma=noise.sigma[b, 0])
+            speech = speech_terms(z, mog)
+            speech_dominance(z, speech, row, want_undecidable[t, b, ...])
+            conditional_mean_below(z, speech, mog, want_tail[t, b, ...])
+        np.testing.assert_array_equal(undecidable, want_undecidable)
+        np.testing.assert_array_equal(tail, want_tail)
+        assert undecidable[:, 1:].any(axis=0).all() and tail.any()
+
+        reports = [r for _, r in enhancer._run(waves, mog, None, REFERENCE, adapt_noise=False)]
+        assert [(r.diagnostics.undecidable_bins, r.diagnostics.tail_fallbacks)
+                for r in reports] == list(zip(undecidable.sum(axis=0), tail.sum(axis=0)))
 
     def test_noise_independent_work_runs_once(self, setup, monkeypatch):
         """One utterance: one NN forward, one subtraction and one

@@ -19,7 +19,6 @@ from scipy.special import log_ndtr, ndtr
 
 from nnmm.gauss import DENSITY_FLOOR, SIGMA_FLOOR, gaussian_pdf_cdf
 from nnmm.mixmax import (
-    MixmaxDiagnostics,
     check_posteriors,
     conditional_mean_below,
     generative_posterior,
@@ -47,9 +46,9 @@ def noise_of(mu, sigma):
                       sigma=np.atleast_1d(np.asarray(sigma, dtype=float)))
 
 
-def dominance(z, mog, noise, diags=None):
+def dominance(z, mog, noise, counts=None):
     """speech_dominance of one frame, with its speech side formed first."""
-    return speech_dominance(z, speech_terms(z, mog), noise, diags)
+    return speech_dominance(z, speech_terms(z, mog), noise, counts)
 
 
 def density_of_max(z, mu_x, sigma_x, mu_y, sigma_y):
@@ -73,10 +72,10 @@ def textbook_density(z, mog, noise):
     return f * big_g + big_f * g
 
 
-def truncated(z, mog, diags=None):
+def truncated(z, mog, counts=None):
     """conditional_mean_below of frames ``z``, with their speech side formed
     first."""
-    return conditional_mean_below(z, speech_terms(z, mog), mog, diags)
+    return conditional_mean_below(z, speech_terms(z, mog), mog, counts)
 
 
 def posterior_at(z, mog, noise):
@@ -187,16 +186,17 @@ class TestMaxDensity:
         zs = rng.normal(0, 2, (4, 5))
         zs[2, 1] = -60.0  # deep lower tail: conditional_mean_below falls back
         f, big_f = speech_terms(zs, mog)
-        stack_diag, frame_diag = MixmaxDiagnostics(), MixmaxDiagnostics()
-        below = conditional_mean_below(zs, (f, big_f), mog, [stack_diag])
+        stack_counts, frame_counts = np.zeros(4, np.int64), np.zeros(4, np.int64)
+        below = conditional_mean_below(zs, (f, big_f), mog, stack_counts)
         assert f.shape == big_f.shape == below.shape == (4, 3, 5)
         for t, z in enumerate(zs):
             f_t, big_f_t = speech_terms(z, mog)
             np.testing.assert_array_equal(f[t], f_t)
             np.testing.assert_array_equal(big_f[t], big_f_t)
             np.testing.assert_array_equal(
-                below[t], conditional_mean_below(z, (f_t, big_f_t), mog, [frame_diag]))
-        assert stack_diag == frame_diag and frame_diag.tail_fallbacks > 0
+                below[t], conditional_mean_below(z, (f_t, big_f_t), mog, frame_counts[t, ...]))
+        np.testing.assert_array_equal(stack_counts, frame_counts)
+        assert frame_counts[2] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +285,10 @@ class TestSpeechDominance:
         """Where both densities underflow the bin reports exactly one half."""
         mog = single_mog([0.0], [1.0])
         noise = noise_of([0.0], [1.0])
-        diag = MixmaxDiagnostics()
-        rho, _ = dominance(np.array([60.0]), mog, noise, [diag])
+        counts = np.zeros((), np.int64)
+        rho, _ = dominance(np.array([60.0]), mog, noise, counts)
         assert rho[0, 0] == 0.5
-        assert diag.undecidable_bins == 1
+        assert counts == 1
 
     def test_mixed_frame_takes_the_masked_formula(self):
         """A frame where some bins underflow: 0.5 exactly there, f G / h
@@ -305,19 +305,19 @@ class TestSpeechDominance:
         np.testing.assert_array_equal(und, [[False, True, False, True],
                                             [False, True, False, False]])
 
-        diag = MixmaxDiagnostics()
-        rho, h = speech_dominance(z, (f, big_f), noise, [diag])
+        counts = np.zeros((), np.int64)
+        rho, h = speech_dominance(z, (f, big_f), noise, counts)
         np.testing.assert_array_equal(h, h_exp)
         np.testing.assert_array_equal(rho, np.where(und, 0.5, numer / np.where(und, 1.0, h_exp)))
-        assert diag.undecidable_bins == 3
+        assert counts == 3
 
         # the same bins without the underflowing ones take the common path
         keep = [0, 2]
-        diag = MixmaxDiagnostics()
+        counts = np.zeros((), np.int64)
         rho, _ = speech_dominance(z[keep], (f[:, keep], big_f[:, keep]),
-                                  noise_of(np.zeros(2), np.ones(2)), [diag])
+                                  noise_of(np.zeros(2), np.ones(2)), counts)
         np.testing.assert_array_equal(rho, numer[:, keep] / h_exp[:, keep])
-        assert diag.undecidable_bins == 0
+        assert counts == 0
 
     def test_range_always_valid(self):
         rng = np.random.default_rng(11)
@@ -368,17 +368,17 @@ class TestConditionalMean:
         """Once F underflows, the asymptote z + sigma^2 / (z - mu) is
         substituted and counted."""
         mog = single_mog([0.0], [1.0])
-        diag = MixmaxDiagnostics()
-        out = truncated(np.array([-40.0]), mog, [diag])
+        counts = np.zeros((), np.int64)
+        out = truncated(np.array([-40.0]), mog, counts)
         np.testing.assert_allclose(out[0, 0], -40.025)
-        assert diag.tail_fallbacks == 1
+        assert counts == 1
 
     def test_near_tail_still_analytic(self):
         """Just above the underflow cliff the analytic f / F path is used."""
         mog = single_mog([0.0], [1.0])
-        diag = MixmaxDiagnostics()
-        out = truncated(np.array([-30.0]), mog, [diag])
-        assert diag.tail_fallbacks == 0
+        counts = np.zeros((), np.int64)
+        out = truncated(np.array([-30.0]), mog, counts)
+        assert counts == 0
         # asymptotic inverse Mills ratio: lambda(-a) ~ a + 1/a
         expected = -30.0 - 1.0 / (30.0 + 1.0 / 30.0)
         np.testing.assert_allclose(out[0, 0], expected, rtol=1e-3)
@@ -393,10 +393,10 @@ class TestConditionalMean:
         the two meet at the cliff to within 2e-3 sigma."""
         mog = single_mog([0.0], [1.0])
         z = np.linspace(-37.1, -37.0, 200_001)
-        diag = MixmaxDiagnostics()
-        out = truncated(z, mog, [diag])[0]
+        counts = np.zeros((), np.int64)
+        out = truncated(z, mog, counts)[0]
         fallback = out == z + 1.0 / z
-        n = diag.tail_fallbacks
+        n = int(counts)
         assert fallback[:n].all() and not fallback[n:].any()
         np.testing.assert_array_equal(fallback, log_ndtr(z) < np.log(DENSITY_FLOOR))
         assert z[n - 1] < -37.04709 and z[n] > -37.04710
@@ -423,7 +423,7 @@ class TestConditionalMean:
            k=st.integers(1, 6))
     def test_in_place_equals_textbook(self, data, t, b, m, k):
         """The in-place kernel equals the plain expressions bit for bit on a
-        (T, B, K) stack, fallbacks and per-row counts included, and leaves
+        (T, B, K) stack, fallbacks and per-frame counts included, and leaves
         its inputs as they were."""
         mog, zs = self._model_and_frames(data, t, b, m, k)
         f, big_f = speech_terms(zs, mog)
@@ -442,11 +442,11 @@ class TestConditionalMean:
         fallback = (big_f_plain < DENSITY_FLOOR) | ~np.isfinite(mean)
         expected = np.where(fallback, asymptote, mean)
 
-        diags = [MixmaxDiagnostics() for _ in range(b)]
-        np.testing.assert_array_equal(conditional_mean_below(zs, (f, big_f), mog, diags),
+        counts = np.zeros((t, b), np.int64)
+        np.testing.assert_array_equal(conditional_mean_below(zs, (f, big_f), mog, counts),
                                       expected)
-        assert [d.tail_fallbacks for d in diags] == fallback.sum(axis=(0, 2, 3)).tolist()
-        assert diags[0].tail_fallbacks > 0
+        np.testing.assert_array_equal(counts, fallback.sum(axis=(2, 3)))
+        assert counts[0, 0] > 0
         for got, want in zip(inputs, before):
             np.testing.assert_array_equal(got, want)
 
@@ -640,8 +640,8 @@ class TestKernelProperties:
     @given(frame_cases())
     def test_per_frame_invariants(self, case):
         mog, noise, z, p_ext = case
-        diags = [MixmaxDiagnostics()]
-        rho, h = dominance(z, mog, noise, diags)
+        counts = np.zeros((), np.int64)
+        rho, h = dominance(z, mog, noise, counts)
         assert np.all((rho >= 0) & (rho <= 1))
         np.testing.assert_allclose(h, textbook_density(z, mog, noise), rtol=1e-12)
 
@@ -649,13 +649,60 @@ class TestKernelProperties:
         assert np.all(p_gen >= 0)
         assert abs(p_gen.sum() - 1.0) < 1e-9
 
-        below = truncated(z, mog, diags)
+        below = truncated(z, mog, counts)
         for p in (p_gen, p_ext):
             spp = spp_of(p, rho)
             assert np.all((spp >= 0) & (spp <= 1))
             xhat, spp_mmse = weighted_mmse(z, p, rho, below)
             assert np.all(xhat <= z + 1e-9)
             np.testing.assert_array_equal(spp_mmse, spp)
+
+
+# ---------------------------------------------------------------------------
+# Fallback counts
+# ---------------------------------------------------------------------------
+
+
+class TestFallbackCounts:
+    @pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["frame", "batch", "block"])
+    def test_counts_take_the_leading_axes(self, lead):
+        """The counts of speech_dominance and conditional_mean_below have
+        the leading axes of their (..., m, K) result: () for one frame,
+        (B,) for a batch and (T, B) for a block under one noise model.
+        Each entry is what that frame alone counts, and a second call adds
+        to it."""
+        rng = np.random.default_rng(21)
+        m, k = 3, 6
+        mog = PhonemeMog(weights=np.array([0.2, 0.3, 0.5]), means=rng.normal(0, 1, (m, k)),
+                         stds=rng.uniform(0.5, 1.5, (m, k)))
+        z = rng.normal(0, 2, lead + (k,))
+        z[rng.random(z.shape) < 0.3] = 1e3  # h underflows
+        z[rng.random(z.shape) < 0.2] = -1e3  # h and F underflow
+        rows = lead[-1:]
+        noise = NoiseModel(mu=rng.normal(0, 1, rows + (1,) * len(rows) + (k,)),
+                           sigma=rng.uniform(0.5, 1.5, rows + (1,) * len(rows) + (k,)))
+        frames = z if not lead else z[..., np.newaxis, :]
+        speech = speech_terms(z, mog)
+
+        undecidable, tail = np.zeros(lead, np.int64), np.zeros(lead, np.int64)
+        for _ in range(2):
+            speech_dominance(frames, speech, noise, undecidable)
+            conditional_mean_below(z, speech, mog, tail)
+
+        want_undecidable, want_tail = np.zeros(lead, np.int64), np.zeros(lead, np.int64)
+        for at in np.ndindex(*lead):
+            row = noise if not lead else NoiseModel(mu=noise.mu[at[-1], 0],
+                                                    sigma=noise.sigma[at[-1], 0])
+            frame_speech = speech_terms(z[at], mog)
+            speech_dominance(z[at], frame_speech, row, want_undecidable[at + (...,)])
+            conditional_mean_below(z[at], frame_speech, mog, want_tail[at + (...,)])
+        assert undecidable.shape == tail.shape == lead
+        np.testing.assert_array_equal(undecidable, 2 * want_undecidable)
+        np.testing.assert_array_equal(tail, 2 * want_tail)
+        assert want_tail.min() < want_tail.max() or not lead  # entries differ
+        assert want_undecidable.min() > 0 and want_tail.sum() > 0
+        with pytest.raises(TypeError):  # a scalar entry would drop the count
+            speech_dominance(z[at], frame_speech, row, want_undecidable[at])
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +739,8 @@ class TestWorkspaceForms:
         below = conditional_mean_below(z if layout == "frame" else z[..., 0, :], (f, big_f), mog)
         inputs = [z, f, big_f, noise.mu, noise.sigma, p, below]
         before = [a.copy() for a in inputs]
-        rows = 1 if layout == "frame" else b
-
-        want_diags = [MixmaxDiagnostics() for _ in range(rows)]
-        rho, h = speech_dominance(z, (f, big_f), noise, want_diags)
+        want_counts = np.zeros(frame[:-2], np.int64)  # (), (B,) or (T, B)
+        rho, h = speech_dominance(z, (f, big_f), noise, want_counts)
         want_spp = weighted_spp(p, rho)
         want_xhat, want_mmse_spp = weighted_mmse(z, p, rho, below)
 
@@ -705,18 +750,18 @@ class TestWorkspaceForms:
         side = np.broadcast_shapes(z.shape, noise.mu.shape)
         dominance_out = ((nans(side), nans(side), nans(side), nans(noise.sigma.shape)),
                          nans(f.shape), nans(f.shape))
-        diags = [MixmaxDiagnostics() for _ in range(rows)]
-        got_rho, got_h = speech_dominance(z, (f, big_f), noise, diags, out=dominance_out)
+        counts = np.zeros(frame[:-2], np.int64)
+        got_rho, got_h = speech_dominance(z, (f, big_f), noise, counts, out=dominance_out)
         assert got_h is dominance_out[2]
         np.testing.assert_array_equal(got_rho, rho)
         np.testing.assert_array_equal(got_h, h)
-        assert [d.undecidable_bins for d in diags] == [d.undecidable_bins for d in want_diags]
-        assert want_diags[0].undecidable_bins > 0
+        np.testing.assert_array_equal(counts, want_counts)
+        assert want_counts.flat[0] > 0
 
         spp = nans(want_spp.shape)
         assert weighted_spp(p, got_rho, out=spp) is spp
         np.testing.assert_array_equal(spp, want_spp)
-        mmse_out = (nans(want_xhat.shape), nans(want_spp.shape), nans(f.shape), nans(f.shape))
+        mmse_out = (nans(want_xhat.shape), nans(want_spp.shape))
         xhat, mmse_spp = weighted_mmse(z, p, got_rho, below, out=mmse_out)
         assert xhat is mmse_out[0] and mmse_spp is mmse_out[1]
         np.testing.assert_array_equal(xhat, want_xhat)
