@@ -281,7 +281,12 @@ def cmd_evaluate(args) -> int:
     for t in noise_types:
         if t not in ("white", "step"):
             raise UsageError(f"unknown noise type {t!r} (choose from white, step)")
-    snrs = [float(s) for s in args.snr.split(",") if s.strip()]
+    try:
+        snrs = [float(s) for s in args.snr.split(",") if s.strip()]
+    except ValueError:
+        raise UsageError(f"--snr {args.snr!r}: not a comma-separated list of numbers") from None
+    if not np.isfinite(snrs).all():
+        raise UsageError(f"--snr {args.snr!r}: every SNR must be finite")
     if not snrs or not noise_types:
         raise UsageError("need at least one SNR and one noise type")
 

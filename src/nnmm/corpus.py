@@ -259,6 +259,7 @@ def load_corpus(path: str):
         raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
     if meta["n_utterances"] < 1:
         raise ValueError(f"{meta_path}: n_utterances must be at least 1")
+    check_frame_length(meta["frame_length"])
 
     utterances = []
     for i in range(meta["n_utterances"]):

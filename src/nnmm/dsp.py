@@ -116,10 +116,10 @@ def num_frames(n_samples: int, frame_length: int) -> int:
 def stft(w: Waveform, frame_length: int = 512) -> ComplexSpectrogram:
     """Windowed one-sided STFT at 75% overlap.
 
-    Raises ValueError if the input is shorter than one frame.
+    Raises ValueError for a frame length :func:`check_frame_length` refuses
+    and for an input shorter than one frame.
     """
-    if frame_length % 2 != 0:
-        raise ValueError("frame_length must be even")
+    check_frame_length(frame_length)
     x = w.samples
     if len(x) < frame_length:
         raise ValueError("utterance too short: need at least one full frame")

@@ -26,7 +26,7 @@ call per block instead of per frame.
 The adaptive step runs once per frame, so it checks nothing and keeps one
 workspace.  Each call of :func:`_recursion` makes, once,
 :func:`speech_dominance`'s buffers for the step's (B, 1, K) frame and
-(B, m, K) components, and a spare noise model and two scratch arrays for
+(B, m, K) components, and a spare noise model and one scratch array for
 :func:`adapt`.  The step's SPP and MMSE estimate are written by
 :func:`weighted_spp` and :func:`weighted_mmse` straight into the
 whole-utterance arrays; only the MMSE estimate's per-component terms and
@@ -261,7 +261,7 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel,
         # adapt's checks, once per utterance (the SPP's after the recursion)
         check_observations(logspecs)
         spare = NoiseModel(mu=noise.mu.copy(), sigma=noise.sigma.copy())
-        gate, tmp = np.empty_like(noise.mu), np.empty_like(noise.mu)
+        gate = np.empty_like(noise.mu)
         per_component = noise.mu.shape[:-2] + (mog.n_components, noise.n_bins)
         noise_side = [np.empty_like(noise.mu) for _ in range(4)]
         dominance = (noise_side, np.empty(per_component), np.empty(per_component))
@@ -285,7 +285,7 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel,
             else:
                 weighted_spp(ps[i], rho, out=s)
             if adapt_noise:
-                noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate, tmp)), noise
+                noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate)), noise
     if adapt_noise:
         check_spp(spp)
     if generative:

@@ -3,7 +3,9 @@
 Architecture: D inputs -> H sigmoid units -> m-way softmax, with bias
 columns folded into the weight matrices.  The objective is the summed
 log-likelihood of the target classes; gradients are analytic and training
-is plain mini-batch gradient ascent with optional momentum.  Given the
+is plain mini-batch gradient ascent with momentum, the constant
+:data:`MOMENTUM` (0.9).  Training always starts from
+:func:`init_classifier`'s weights, seeded from the training seed.  Given the
 seed, training repeats bit for bit at a fixed BLAS thread count; another
 thread count can round the matrix products differently and so give other
 weights.
@@ -29,6 +31,7 @@ from scipy.special import expit
 from .errors import NumericError
 
 DEFAULT_HIDDEN = 500
+MOMENTUM = 0.9
 LIKELIHOOD_FLOOR = 1e-300
 
 
@@ -169,9 +172,7 @@ def train(
     epochs: int = 30,
     learning_rate: float = 0.5,
     batch_size: int = 128,
-    momentum: float = 0.9,
     seed: int = 0,
-    net0: NnClassifier | None = None,
 ):
     """Mini-batch gradient ascent on the log-likelihood.
 
@@ -198,16 +199,10 @@ def train(
         raise ValueError(f"learning_rate must be finite and nonnegative, got {learning_rate}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must be in [0, 1)")
-    if net0 is not None and (net0.n_inputs, net0.n_classes) != (inputs.shape[1], n_classes):
-        raise ValueError("net0 does not match the input dimension and class count")
 
     rng = np.random.default_rng(seed)
-    if net0 is None:
-        net0 = init_classifier(inputs.shape[1], n_classes, n_hidden, seed=rng.integers(2**32))
-    w1 = net0.w1.copy()
-    w2 = net0.w2.copy()
+    init = init_classifier(inputs.shape[1], n_classes, n_hidden, seed=rng.integers(2**32))
+    w1, w2 = init.w1, init.w2
     vel1 = np.zeros_like(w1)
     vel2 = np.zeros_like(w2)
     g1 = np.empty_like(w1)
@@ -228,7 +223,7 @@ def train(
                 idx = order[start:start + batch_size]
                 _gradient_arrays(w1, w2, inputs[idx], targets[idx], out=(g1, g2))
                 for w, vel, g in ((w1, vel1, g1), (w2, vel2, g2)):
-                    vel *= momentum
+                    vel *= MOMENTUM
                     g /= len(idx)
                     vel += g
                     np.multiply(learning_rate, vel, out=g)

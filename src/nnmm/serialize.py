@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import check_frame_length
 from .errors import BundleFormatError
 from .mog import PhonemeMog
 from .nn import NnClassifier
@@ -46,8 +47,9 @@ class ModelBundle:
         # outside its u32 or u64 slot would only fail at save time.
         for name, bits in (("sample_rate", 32), ("frame_length", 32), ("config_hash", 64)):
             _check_unsigned(name, getattr(self, name), bits)
-        if self.sample_rate <= 0 or self.frame_length <= 0:
-            raise ValueError("sample_rate and frame_length must be positive")
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        check_frame_length(self.frame_length)
         if self.mog.n_bins != self.frame_length // 2 + 1:
             raise BundleFormatError(
                 f"mixture has {self.mog.n_bins} bins but frame length "

@@ -36,7 +36,14 @@ from nnmm.mixmax import (
     weighted_spp,
 )
 from nnmm.errors import NumericError
-from nnmm.nn import NnClassifier, _forward_arrays, _log_likelihood_arrays, forward, init_classifier
+from nnmm.nn import (
+    MOMENTUM,
+    NnClassifier,
+    _forward_arrays,
+    _log_likelihood_arrays,
+    forward,
+    init_classifier,
+)
 from nnmm.noise import adapt, init_from_prefix
 
 
@@ -195,16 +202,14 @@ def gradient_stacked(w1, w2, inputs, targets):
     return g1, g2
 
 
-def train_serial(inputs, targets, n_classes, n_hidden, epochs, learning_rate, batch_size,
-                 momentum, seed, net0=None):
+def train_serial(inputs, targets, n_classes, n_hidden, epochs, learning_rate, batch_size, seed):
     """``nn.train`` as one serial loop: allocating momentum updates, and each
     epoch's objective computed before the next epoch starts."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.intp)
     n = inputs.shape[0]
     rng = np.random.default_rng(seed)
-    if net0 is None:
-        net0 = init_classifier(inputs.shape[1], n_classes, n_hidden, seed=rng.integers(2**32))
+    net0 = init_classifier(inputs.shape[1], n_classes, n_hidden, seed=rng.integers(2**32))
     w1 = net0.w1.copy()
     w2 = net0.w2.copy()
     vel1 = np.zeros_like(w1)
@@ -216,8 +221,8 @@ def train_serial(inputs, targets, n_classes, n_hidden, epochs, learning_rate, ba
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             g1, g2 = gradient_stacked(w1, w2, inputs[idx], targets[idx])
-            vel1 = momentum * vel1 + g1 / len(idx)
-            vel2 = momentum * vel2 + g2 / len(idx)
+            vel1 = MOMENTUM * vel1 + g1 / len(idx)
+            vel2 = MOMENTUM * vel2 + g2 / len(idx)
             w1 += learning_rate * vel1
             w2 += learning_rate * vel2
         mean_ll = _log_likelihood_arrays(w1, w2, inputs, targets) / n

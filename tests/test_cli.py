@@ -412,6 +412,17 @@ class TestExitCodes:
         assert plain.read_bytes() == explicit.read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("snr", ["5,abc", "nan", "inf"])
+    def test_evaluate_bad_snr_is_usage_error(self, workspace, tmp_path, capsys, snr):
+        """Each SNR must parse as a finite number of dB; no CSV is written."""
+        _, corpus, _, full = workspace
+        out = tmp_path / "r.csv"
+        code = main(["evaluate", "--bundle", str(full), "--corpus", str(corpus),
+                     "--out", str(out), "--noise", "white", "--snr", snr])
+        assert code == 1
+        assert "--snr" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_frame_length_flag_is_usage_error(self, workspace, tmp_path, capsys):
         """The bundle fixes the frame length; evaluate has no flag for it."""
         _, corpus, _, full = workspace

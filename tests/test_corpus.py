@@ -205,6 +205,13 @@ class TestStorage:
         with pytest.raises(ValueError, match="corpus.meta"):
             load_corpus(tmp_path)
 
+    def test_unusable_frame_length_rejected(self, tmp_path):
+        save_corpus(tmp_path, synthesize_corpus(small_spec(seed=6), 1), 512, 3)
+        meta = tmp_path / "corpus.meta"
+        meta.write_text(meta.read_text().replace("frame_length=512", "frame_length=2"))
+        with pytest.raises(ValueError, match="frame_length must be even and at least 8"):
+            load_corpus(tmp_path)
+
 
 class TestAssemble:
     def test_shapes_align(self):

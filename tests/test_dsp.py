@@ -105,6 +105,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="too short"):
             stft(w, 512)
 
+    @pytest.mark.parametrize("frame_length", [2, 6, 9])
+    def test_unusable_frame_length_raises(self, frame_length):
+        """Below 8 the hop is under 2 samples (0 at length 2)."""
+        w = Waveform(samples=np.zeros(100), sample_rate=16000)
+        with pytest.raises(ValueError, match="frame_length must be even and at least 8"):
+            stft(w, frame_length)
+
     def test_shapes(self):
         w = Waveform(samples=np.zeros(16000), sample_rate=16000)
         s = stft(w, 512)

@@ -9,6 +9,7 @@ import pytest
 import nnmm.nn
 from nnmm.errors import NumericError
 from nnmm.nn import (
+    MOMENTUM,
     NnClassifier,
     _gradient_arrays,
     _log_likelihood_arrays,
@@ -213,19 +214,17 @@ class TestTrain:
     def test_zero_rate_keeps_initial_weights(self):
         rng = np.random.default_rng(10)
         x, y = blobs(rng, n_per=20)
-        net0 = init_classifier(6, 3, n_hidden=8, seed=3)
-        net, _ = train(x, y, n_classes=3, n_hidden=8, epochs=3,
-                       learning_rate=0.0, seed=1, net0=net0)
-        assert np.array_equal(net.w1, net0.w1)
-        assert np.array_equal(net.w2, net0.w2)
+        net, _ = train(x, y, n_classes=3, n_hidden=8, epochs=3, learning_rate=0.0, seed=1)
+        init = init_classifier(6, 3, n_hidden=8, seed=np.random.default_rng(1).integers(2**32))
+        assert np.array_equal(net.w1, init.w1)
+        assert np.array_equal(net.w2, init.w2)
 
     def test_full_batch_ascent_monotone(self):
         """Small-rate full-batch ascent never decreases the objective."""
         rng = np.random.default_rng(11)
         x, y = blobs(rng, n_per=20)
         _, history = train(x, y, n_classes=3, n_hidden=8, epochs=100,
-                           learning_rate=1e-3, batch_size=len(y),
-                           momentum=0.0, seed=2)
+                           learning_rate=1e-3, batch_size=len(y), seed=2)
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-12)
 
@@ -264,26 +263,19 @@ class TestTrain:
         with pytest.raises(ValueError, match=name):
             train(np.zeros((4, 3)), np.array([0, 1, 2, 0]), n_classes=3, **setting)
 
-    def test_mismatched_net0_rejected(self):
-        net0 = init_classifier(3, 4, n_hidden=5)
-        with pytest.raises(ValueError, match="net0"):
-            train(np.zeros((4, 3)), np.array([0, 1, 2, 0]), n_classes=3, net0=net0)
-
 
 class TestTrainOverlapped:
     """``train`` updates in place and computes each epoch's objective on a
     worker thread; the serial loop in ``oracles`` does neither."""
 
     @pytest.mark.parametrize("batch_size", [15, 32, 60], ids=["divides", "remainder", "full"])
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    @pytest.mark.parametrize("epochs", [0, 1, 3])
-    @pytest.mark.parametrize("with_net0", [False, True], ids=["init", "net0"])
-    def test_equals_serial_loop(self, batch_size, momentum, epochs, with_net0):
+    # ids: initial weights, epochs, momentum, batches
+    @pytest.mark.parametrize("epochs", [0, 1, 3], ids=lambda e: f"init-{e}-{MOMENTUM}")
+    def test_equals_serial_loop(self, batch_size, epochs):
         rng = np.random.default_rng(14)
         x, y = blobs(rng, n_per=20)
         settings = dict(n_classes=3, n_hidden=8, epochs=epochs, learning_rate=0.3,
-                        batch_size=batch_size, momentum=momentum, seed=4,
-                        net0=init_classifier(6, 3, n_hidden=8, seed=5) if with_net0 else None)
+                        batch_size=batch_size, seed=4)
         net, history = train(x, y, **settings)
         ref, ref_history = train_serial(x, y, **settings)
         assert np.array_equal(net.w1, ref.w1)
@@ -297,7 +289,7 @@ class TestTrainOverlapped:
         rng = np.random.default_rng(17)
         x, y = blobs(rng, n_per=40, d=20)
         settings = dict(n_classes=3, n_hidden=30, epochs=4, learning_rate=0.3,
-                        batch_size=8, momentum=0.9, seed=6)
+                        batch_size=8, seed=6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

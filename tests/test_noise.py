@@ -111,19 +111,18 @@ def adapt_cases(draw):
 class TestAdaptProperties:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(adapt_cases())
-    def test_equals_textbook_recursion(self, case):
-        """Bit for bit the two-stage recursion, sigma floored, on fresh
-        arrays: the inputs come back unmodified."""
+    def test_equals_increment_form(self, case):
+        """Bit for bit the increment form, sigma floored, on fresh arrays:
+        the inputs come back unmodified."""
         model, z, rho, alpha = case
         inputs = (model.mu, model.sigma, z, rho)
         before = [a.copy() for a in inputs]
 
         out = adapt(model, z, rho, alpha)
 
-        mu = rho * model.mu + (1.0 - rho) * (alpha * z + (1.0 - alpha) * model.mu)
-        sigma = rho * model.sigma + (1.0 - rho) * (
-            alpha * np.abs(z - mu) + (1.0 - alpha) * model.sigma
-        )
+        gate = (1.0 - rho) * alpha
+        mu = model.mu + gate * (z - model.mu)
+        sigma = model.sigma + gate * (np.abs(z - mu) - model.sigma)
         np.testing.assert_array_equal(out.mu, mu)
         np.testing.assert_array_equal(out.sigma, np.maximum(sigma, SIGMA_FLOOR))
         assert np.all(out.sigma >= SIGMA_FLOOR)
@@ -131,12 +130,28 @@ class TestAdaptProperties:
             np.testing.assert_array_equal(a, b)
         assert not any(np.shares_memory(o, a) for o in (out.mu, out.sigma) for a in inputs)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(adapt_cases())
+    def test_equals_textbook_recursion(self, case):
+        """Within 4 eps of the paper's two-stage recursion, relative to the
+        size of the old statistics and the frame."""
+        model, z, rho, alpha = case
+        out = adapt(model, z, rho, alpha)
+
+        mu = rho * model.mu + (1.0 - rho) * (alpha * z + (1.0 - alpha) * model.mu)
+        sigma = rho * model.sigma + (1.0 - rho) * (
+            alpha * np.abs(z - mu) + (1.0 - alpha) * model.sigma
+        )
+        bound = 4 * np.finfo(np.float64).eps * (np.abs(model.mu) + np.abs(z) + model.sigma)
+        assert np.all(np.abs(out.mu - mu) <= bound)
+        assert np.all(np.abs(out.sigma - np.maximum(sigma, SIGMA_FLOOR)) <= bound)
+
 
 class TestAdaptWorkspace:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(data=st.data(), rows=st.sampled_from([None, 1, 3]), k=st.integers(1, 16))
     def test_equals_allocating_form(self, data, rows, k):
-        """Written into a spare model and scratch arrays, one (K,) model or a
+        """Written into a spare model and a scratch array, one (K,) model or a
         batch of (B, 1, K) ones, the update equals the allocating form bit
         for bit, returns the spare model, and leaves the inputs unmodified."""
         shape = (k,) if rows is None else (rows, 1, k)
@@ -152,8 +167,7 @@ class TestAdaptWorkspace:
 
         want = adapt(model, z, rho, alpha)
         into = NoiseModel(mu=np.full(shape, 7.0), sigma=np.full(shape, 7.0))
-        got = adapt(model, z, rho, alpha,
-                    out=(into, np.full(shape, np.nan), np.full(shape, np.nan)))
+        got = adapt(model, z, rho, alpha, out=(into, np.full(shape, np.nan)))
         assert got is into
         np.testing.assert_array_equal(got.mu, want.mu)
         np.testing.assert_array_equal(got.sigma, want.sigma)

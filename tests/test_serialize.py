@@ -1,5 +1,7 @@
 """Model bundle binary format."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,15 @@ class TestCorruption:
         assert blob.count(old) == 1
         p.write_bytes(blob.replace(old, np.ascontiguousarray(value, dtype="<f8").tobytes()))
         with pytest.raises(BundleFormatError, match=f"m.nnmm.*{message}"):
+            load_bundle(p)
+
+    def test_unusable_frame_length(self, tmp_path):
+        """A frame length the STFT cannot run at, with a mixture of the
+        matching 2 bins, packed by save_bundle from a stand-in bundle."""
+        p = tmp_path / "m.nnmm"
+        save_bundle(SimpleNamespace(mog=make_mog(n_bins=2), net=None, sample_rate=16000,
+                                    frame_length=2, config_hash=0), p)
+        with pytest.raises(BundleFormatError, match="m.nnmm.*frame_length must be even"):
             load_bundle(p)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
