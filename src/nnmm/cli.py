@@ -127,7 +127,7 @@ def build_enhancer_config(settings: dict, frame_length: int) -> EnhancerConfig:
 def _add_enhancer_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--beta", type=float, help="noise-reduction level, natural-log units")
-    sub.add_argument("--alpha", type=float, help="noise adaptation smoothing in (0,1)")
+    sub.add_argument("--alpha", type=float, help="noise smoothing in [0,1); 0 keeps the prefix noise")
     sub.add_argument("--noise-prefix", type=float, dest="noise_prefix",
                      help="leading noise-only seconds")
     sub.add_argument("--estimator", choices=ESTIMATORS)
@@ -273,10 +273,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    bundle = load_bundle(args.bundle)
-    cfg = build_enhancer_config(_enhancer_settings(args), frame_length=bundle.frame_length)
-    _check_classifier(cfg, bundle)
-    utterances, meta = _load_compatible_corpus(args, bundle)
+    # The grid is checked before any file is read, so a mistyped flag costs
+    # no corpus read and exits 1 whatever state the files are in.
     noise_types = [t.strip() for t in args.noise.split(",") if t.strip()]
     for t in noise_types:
         if t not in ("white", "step"):
@@ -289,6 +287,10 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"--snr {args.snr!r}: every SNR must be finite")
     if not snrs or not noise_types:
         raise UsageError("need at least one SNR and one noise type")
+    bundle = load_bundle(args.bundle)
+    cfg = build_enhancer_config(_enhancer_settings(args), frame_length=bundle.frame_length)
+    _check_classifier(cfg, bundle)
+    utterances, _ = _load_compatible_corpus(args, bundle)
 
     rows = []
     run = 0

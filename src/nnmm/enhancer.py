@@ -17,29 +17,30 @@ private functions that :func:`_run` calls in turn and that pass plain arrays:
   array once used, then :func:`_tail`'s overlap-add and reports.
 
 The recursion steps one frame at a time when the noise adapts, since each
-frame reads the model the one before it updated.  With the noise model
-fixed, as in the reference mode, no frame depends on another, so each step
-takes a whole block of frames, (T, B, ...) arrays, through the same
-functions; the results are the per-frame ones bit for bit, with a Python
-call per block instead of per frame.
+frame reads the model the one before it updated.  At ``alpha = 0``, as in
+the reference mode, the update leaves the prefix model as it is, so no
+frame depends on another: each step takes a whole block of frames,
+(T, B, ...) arrays, through the same functions, and skips the update.  The
+results are the per-frame ones bit for bit, with a Python call per block
+instead of per frame.
 
 The adaptive step runs once per frame, so it checks nothing and keeps one
 workspace.  Each call of :func:`_recursion` makes, once,
 :func:`speech_dominance`'s buffers for the step's (B, 1, K) frame and
 (B, m, K) components, and a spare noise model and one scratch array for
-:func:`adapt`.  The step's SPP and MMSE estimate are written by
-:func:`weighted_spp` and :func:`weighted_mmse` straight into the
-whole-utterance arrays; only the MMSE estimate's per-component terms and
+:func:`adapt`.  The step's SPP, in either estimator, and the MMSE estimate
+are written by :func:`weighted_spp` and :func:`weighted_mmse` straight into
+the whole-utterance arrays; only the MMSE estimate's per-component terms and
 the generative posterior are formed afresh.  The workspace forms run the
 same code as the allocating ones, so the results are bit for bit the same.
 ``adapt`` writes the new model into the spare one, and the model it read
 becomes the next spare.  The buffers belong to one call, so nothing
 returned shares memory with a later call.  The checks that ``adapt`` makes
-on every call of its allocating form run here once per utterance:
-:func:`check_observations` over all log-spectra before the recursion, and
-:func:`check_spp` over all SPPs after it, before any result is formed from
-them.  ``alpha`` is checked by :class:`EnhancerConfig`.  A block step of
-the fixed-noise mode runs once per ``SPEECH_BLOCK`` frame-rows and
+on every call of its allocating form run here once per utterance, at every
+alpha: :func:`check_observations` over all log-spectra before the
+recursion, and :func:`check_spp` over all SPPs after it, before any result
+is formed from them.  ``alpha`` is checked by :class:`EnhancerConfig`.  A
+block step at ``alpha = 0`` runs once per ``SPEECH_BLOCK`` frame-rows and
 allocates its arrays afresh.
 
 The recursion also owns the fallback counts: two (N, B) integer arrays, the
@@ -58,12 +59,14 @@ beside it.  The per-frame Python overhead is paid once per batch, not once
 per row, which is what an evaluation grid of many noise types and SNRs
 over one utterance saves.
 
-Two estimator styles are supported:
-
-* soft spectral subtraction driven by the per-bin speech presence
-  probability (the default), and
-* the classic max-model MMSE estimator with a fixed noise model and the
-  generative component posterior, kept as a reference mode.
+The config picks the mode: the estimator, soft spectral subtraction
+driven by the per-bin speech presence probability (the default) or the
+classic max-model MMSE estimator; the component posterior, the
+classifier's or the generative one; and ``alpha``, where 0 holds the
+prefix noise model.  Every combination runs the same recursion.  The
+reference mode, ``REFERENCE_MODE``, is the MMSE estimator with the
+generative posterior at ``alpha = 0`` (Nádas, Nahamoo & Picheny 1989);
+:func:`enhance_mixmax_original` runs it.
 """
 
 from __future__ import annotations
@@ -100,8 +103,9 @@ from .noise import NoiseModel, adapt, check_observations, check_spp, init_from_p
 
 ESTIMATORS = ("soft-subtraction", "mixmax-mmse")
 POSTERIOR_SOURCES = ("nn", "generative")
-# The settings the fixed-noise reference mode always runs with.
-REFERENCE_MODE = {"estimator": "mixmax-mmse", "posterior_source": "generative"}
+# The settings the fixed-noise reference mode always runs with: alpha = 0
+# holds the prefix noise model for the whole utterance.
+REFERENCE_MODE = {"alpha": 0.0, "estimator": "mixmax-mmse", "posterior_source": "generative"}
 
 # Frame-rows whose speech-side terms are formed together, and, with the
 # noise fixed, that one recursion step takes: a block is SPEECH_BLOCK // B
@@ -123,7 +127,8 @@ class EnhancerConfig:
     """Knobs for one enhancement job.
 
     beta is the maximum attenuation in natural-log magnitude units
-    (2.5 ~ 21.7 dB); alpha is the noise-adaptation smoothing constant;
+    (2.5 ~ 21.7 dB); alpha is the noise-adaptation smoothing constant, in
+    [0, 1), where 0 holds the prefix noise model for the whole utterance;
     noise_prefix is the leading noise-only stretch, in seconds, used to
     initialize the noise model.
     """
@@ -139,8 +144,8 @@ class EnhancerConfig:
         check_frame_length(self.frame_length)
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError("alpha must be in [0, 1)")
         if self.noise_prefix <= 0:
             raise ValueError("noise_prefix must be positive")
         if self.estimator not in ESTIMATORS:
@@ -239,9 +244,8 @@ def _precompute(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None
     return logspecs, posteriors, [s.frames for s in specs], noise
 
 
-def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel,
-               mog: PhonemeMog, cfg: EnhancerConfig,
-               adapt_noise: bool) -> tuple[np.ndarray, np.ndarray | None, NoiseModel, tuple]:
+def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, mog: PhonemeMog,
+               cfg: EnhancerConfig) -> tuple[np.ndarray, np.ndarray | None, NoiseModel, tuple]:
     """The frames in time order: SPP, MMSE estimate and noise update.
 
     Returns every frame's SPP, the MMSE estimate (None for soft
@@ -251,15 +255,16 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel,
     """
     generative = cfg.posterior_source == "generative"
     mmse = cfg.estimator == "mixmax-mmse"
+    adapting = cfg.alpha > 0
     spp = np.empty_like(logspecs)
     xhat = np.empty_like(logspecs) if mmse else None
     undecidable = np.zeros(logspecs.shape[:2], np.int64)
     tail = np.zeros(logspecs.shape[:2], np.int64)
 
+    # adapt's checks, once per utterance (the SPP's after the recursion)
+    check_observations(logspecs)
     dominance = None
-    if adapt_noise:
-        # adapt's checks, once per utterance (the SPP's after the recursion)
-        check_observations(logspecs)
+    if adapting:
         spare = NoiseModel(mu=noise.mu.copy(), sigma=noise.sigma.copy())
         gate = np.empty_like(noise.mu)
         per_component = noise.mu.shape[:-2] + (mog.n_components, noise.n_bins)
@@ -274,20 +279,19 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel,
             below = conditional_mean_below(zs[:, :, 0], (f, big_f), mog, tail[at])
             xhats = xhat[at]
         # A step is one frame when the noise adapts, since the next frame
-        # reads the updated model, and the whole block when it is fixed.
-        for i in range(len(zs)) if adapt_noise else (slice(None),):
+        # reads the updated model, and the whole block when alpha = 0 holds
+        # it fixed.
+        for i in range(len(zs)) if adapting else (slice(None),):
             z, s = zs[i], spps[i]
             rho, h = speech_dominance(z, (f[i], big_f[i]), noise, counts[i], out=dominance)
             if generative:
                 ps[i, :, 0] = generative_posterior(h, mog)
+            weighted_spp(ps[i], rho, out=s)
             if mmse:
-                weighted_mmse(z, ps[i], rho, below[i], out=(xhats[i], s))
-            else:
-                weighted_spp(ps[i], rho, out=s)
-            if adapt_noise:
+                weighted_mmse(z, ps[i], rho, below[i], out=xhats[i])
+            if adapting:
                 noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate)), noise
-    if adapt_noise:
-        check_spp(spp)
+    check_spp(spp)
     if generative:
         check_posteriors(posteriors)
     return spp, xhat, noise, (undecidable, tail)
@@ -317,8 +321,8 @@ def _tail(waves: list[Waveform], cfg: EnhancerConfig, frames: list, frame_mean_s
     return results
 
 
-def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None, cfg: EnhancerConfig,
-         adapt_noise: bool) -> list[tuple[Waveform, EnhancementReport]]:
+def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None,
+         cfg: EnhancerConfig) -> list[tuple[Waveform, EnhancementReport]]:
     """One recursion over B rows of one length and sample rate: the three
     stages, with the tail's soft subtraction and reconstruction run here.
 
@@ -328,7 +332,7 @@ def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None, cfg: 
     per-block views of them go when :func:`_recursion` returns.
     """
     logspecs, posteriors, frames, noise = _precompute(waves, mog, net, cfg)
-    spp, xhat, noise, counts = _recursion(logspecs, posteriors, noise, mog, cfg, adapt_noise)
+    spp, xhat, noise, counts = _recursion(logspecs, posteriors, noise, mog, cfg)
     frame_mean_spp = spp.mean(axis=-1)
     if xhat is None:
         xhat = soft_subtract(logspecs, spp, cfg.beta)
@@ -356,7 +360,7 @@ def enhance_batch(
     if any(len(w) != len(waves[0]) or w.sample_rate != waves[0].sample_rate for w in waves):
         raise ValueError("batched utterances must share length and sample rate")
     return [pair for first in range(0, len(waves), BATCH_ROWS)
-            for pair in _run(waves[first:first + BATCH_ROWS], mog, net, cfg, adapt_noise=True)]
+            for pair in _run(waves[first:first + BATCH_ROWS], mog, net, cfg)]
 
 
 def enhance_utterance(
@@ -365,21 +369,24 @@ def enhance_utterance(
     net: NnClassifier | None,
     cfg: EnhancerConfig,
 ):
-    """Enhance one utterance with SPP gating and online noise adaptation.
+    """Enhance one utterance with SPP gating and online noise adaptation
+    (none at ``cfg.alpha = 0``).
 
     Returns the enhanced waveform (same length and rate as the input) and a
     report with per-frame mean SPP and component posteriors, fallback
     counters, and the final noise model.
     """
-    return _run([w], mog, net, cfg, adapt_noise=True)[0]
+    return _run([w], mog, net, cfg)[0]
 
 
 def enhance_mixmax_original(w: Waveform, mog: PhonemeMog, cfg: EnhancerConfig) -> Waveform:
     """Reference mode: generative posterior, exact MMSE, noise held fixed.
 
-    The noise model is initialized from the prefix and never updated, and no
-    classifier is involved; only frame length and prefix are read from cfg.
+    :func:`enhance_utterance` with ``cfg`` set to ``REFERENCE_MODE``, its
+    waveform only: the noise model is initialized from the prefix and never
+    updated (alpha = 0), and no classifier is involved; only frame length
+    and prefix are read from cfg.  The same call through
+    :func:`enhance_utterance` or :func:`enhance_batch` also returns the
+    report.
     """
-    cfg = replace(cfg, **REFERENCE_MODE)
-    [(enhanced, _)] = _run([w], mog, None, cfg, adapt_noise=False)
-    return enhanced
+    return enhance_utterance(w, mog, None, replace(cfg, **REFERENCE_MODE))[0]

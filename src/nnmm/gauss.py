@@ -45,6 +45,19 @@ def gaussian_pdf_cdf(x, mu, sigma, *, out=None):
     return pdf, ndtr(z, cdf)
 
 
+def normalize_log_scores(scores):
+    """Log-domain scores to probabilities along the last axis, in place.
+
+    Subtracts each row's maximum before exponentiating, so the largest term
+    is exactly 1 and nothing overflows, then divides by the row's sum;
+    ``scores`` is overwritten and returned.
+    """
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def log_gaussian_pdf(x, mu, sigma):
     z = (np.asarray(x, dtype=np.float64) - mu) / sigma
     return -0.5 * z * z - np.log(sigma) - _LOG_SQRT_2PI

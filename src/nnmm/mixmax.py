@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import DENSITY_FLOOR, gaussian_pdf_cdf
+from .gauss import DENSITY_FLOOR, gaussian_pdf_cdf, normalize_log_scores
 from .mog import PhonemeMog
 from .noise import NoiseModel
 
@@ -149,10 +149,7 @@ def generative_posterior(h: np.ndarray, mog: PhonemeMog) -> np.ndarray:
     floored = np.maximum(h, DENSITY_FLOOR)
     scores = np.log(floored, out=floored).sum(axis=-1)
     scores += np.log(mog.weights)
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores, out=scores)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+    return normalize_log_scores(scores)
 
 
 def conditional_mean_below(
@@ -239,29 +236,26 @@ def weighted_mmse(
     rho: np.ndarray,
     below: np.ndarray,
     *,
-    out: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior-weighted MMSE estimate of the clean log-spectrum, and the
-    SPP.
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Posterior-weighted MMSE estimate of the clean log-spectrum.
 
     Per component the estimate keeps the observation where speech dominates
     and falls back to the truncated-Gaussian mean where noise does:
     x̂ = sum_i p_i (rho_i z + (1 - rho_i) E[X | X < z, i]), with ``rho``
     from :func:`speech_dominance` and ``below`` from
     :func:`conditional_mean_below` (Nádas, Nahamoo & Picheny, IEEE TASSP
-    1989).  The SPP is :func:`weighted_spp` of the same posterior and
-    ``rho``, which is not checked here either.  Shapes as in
+    1989).  The posterior is not checked here, as in :func:`weighted_spp`,
+    which gives the SPP of the same posterior and ``rho``.  Shapes as in
     :func:`weighted_spp`, with ``z`` (K,), (B, 1, K) or (T, B, 1, K).
 
-    With ``out``, a pair ``(xhat, spp)`` of float64 arrays of the results'
-    shapes, the results are written there."""
-    xhat, spp = (None, None) if out is None else out
-    spp = weighted_spp(posterior, rho, out=spp)
+    With ``out``, a float64 array of the result's shape, the estimate is
+    written there."""
     per_component = np.multiply(rho, z)
     rest = np.subtract(1.0, rho)
     np.multiply(rest, below, rest)
     np.add(per_component, rest, per_component)
-    return np.matmul(posterior, per_component, xhat), spp
+    return np.matmul(posterior, per_component, out)
 
 
 def soft_subtract(z: np.ndarray, spp: np.ndarray, beta: float) -> np.ndarray:

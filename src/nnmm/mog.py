@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauss import DENSITY_FLOOR, SIGMA_FLOOR, log_gaussian_pdf
+from .gauss import DENSITY_FLOOR, SIGMA_FLOOR, log_gaussian_pdf, normalize_log_scores
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,7 @@ def train_em(
 
     for _ in range(iterations):
         # E-step in the log domain with max-subtraction.
-        logp = frame_log_joints(PhonemeMog(weights=weights, means=means, stds=stds), x)
-        peak = logp.max(axis=1, keepdims=True)
-        resp = np.exp(logp - peak)
-        resp /= resp.sum(axis=1, keepdims=True)
+        resp = normalize_log_scores(frame_log_joints(PhonemeMog(weights, means, stds), x))
 
         mass = resp.sum(axis=0)
         for i in np.flatnonzero(mass < 1e-8):

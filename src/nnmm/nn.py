@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NumericError
+from .gauss import normalize_log_scores
 
 DEFAULT_HIDDEN = 500
 MOMENTUM = 0.9
@@ -99,9 +100,7 @@ def _forward_arrays(w1, w2, v):
     expit(h, out=h)                             # in place: one (N, H) array
     logits = h @ w2[:, :-1].T
     logits += w2[:, -1]
-    logits -= np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(logits)
-    return e / np.sum(e, axis=-1, keepdims=True), h
+    return normalize_log_scores(logits), h
 
 
 def forward(net: NnClassifier, v: np.ndarray) -> np.ndarray:

@@ -82,7 +82,9 @@ def adapt(
     """One recursive update gated by the speech presence probability.
 
     Noise-dominated bins (spp near 0) move toward the observation with
-    smoothing ``alpha``; speech-dominated bins are frozen.  The updated mean
+    smoothing ``alpha``; speech-dominated bins are frozen.  At ``alpha = 0``
+    the gate is 0 in every bin and the result equals ``model`` exactly:
+    that is the fixed-noise reference mode.  The updated mean
     feeds the deviation term of the std update.  The update is the paper's
     two-stage recursion ``mu = rho*mu + (1-rho)*(alpha*z + (1-alpha)*mu)``
     rearranged into increment form, with ``gate = (1-rho)*alpha``::
@@ -95,7 +97,7 @@ def adapt(
     check; over 100,000 random updates the largest gap was 2.4 of those eps.
 
     Checks run on the inputs only: the frame and SPP match the model's
-    length, ``alpha`` lies in (0, 1), the SPP in [0, 1] (NaN fails) and the
+    length, ``alpha`` lies in [0, 1), the SPP in [0, 1] (NaN fails) and the
     frame is finite.  ``model`` was checked when it was built.  The
     result needs no check of its own: its mean blends finite values with
     weights in [0, 1] and its std is floored at ``SIGMA_FLOOR``, so it is
@@ -116,8 +118,8 @@ def adapt(
         rho = np.asarray(spp, dtype=np.float64)
         if z.shape != model.mu.shape or rho.shape != model.mu.shape:
             raise ValueError("frame, SPP and model lengths differ")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError("alpha must be in [0, 1)")
         check_spp(rho)
         check_observations(z)
         into, gate = NoiseModel(mu=model.mu.copy(), sigma=model.sigma.copy()), None

@@ -142,10 +142,12 @@ def istft_by_frame(s):
     return out
 
 
-def enhance_by_frame(w, mog, net, cfg, adapt_noise):
+def enhance_by_frame(w, mog, net, cfg):
     """The enhancer with every step inside one frame loop: per-frame NN
     forward, speech and noise sides, posterior check, SPP, estimate,
-    adaptation and reconstruction.  Returns ``(samples, EnhancementReport)``."""
+    adaptation and reconstruction.  Every frame adapts the noise, at
+    ``cfg.alpha = 0`` too, where the update returns the model it was given.
+    Returns ``(samples, EnhancementReport)``."""
     spec = stft_by_gather(w, cfg.frame_length)
     logspecs = log_spectra(spec)
     noise = init_from_prefix(noise_prefix_frames(logspecs, w.sample_rate, cfg))
@@ -173,10 +175,9 @@ def enhance_by_frame(w, mog, net, cfg, adapt_noise):
         if cfg.estimator == "soft-subtraction":
             xhat = soft_subtract(z, spp, cfg.beta)
         else:
-            xhat, _ = weighted_mmse(z, p, rho, conditional_mean_below(z, speech, mog, tail))
+            xhat = weighted_mmse(z, p, rho, conditional_mean_below(z, speech, mog, tail))
 
-        if adapt_noise:
-            noise = adapt(noise, z, spp, cfg.alpha)
+        noise = adapt(noise, z, spp, cfg.alpha)
         out[t] = reconstruct_frame(xhat, spec.frames[t])
 
     y = istft_by_frame(ComplexSpectrogram(frames=out, frame_length=cfg.frame_length))

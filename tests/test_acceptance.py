@@ -155,7 +155,7 @@ def test_c02_weighted_mmse_matches_monte_carlo(scalar_mc):
         rho, h = speech_dominance(zv, speech, noise)
         posterior = generative_posterior(h, mog)
         check_posteriors(posterior)
-        xhat, _ = weighted_mmse(zv, posterior, rho, conditional_mean_below(zv, speech, mog))
+        xhat = weighted_mmse(zv, posterior, rho, conditional_mean_below(zv, speech, mog))
         closed = xhat[0]
         assert mc["n"] > 500, f"window at z={z} too empty for a meaningful SE"
         assert abs(closed - mc["mean_x"]) < 3 * mc["mean_x_se"], (

@@ -423,6 +423,22 @@ class TestExitCodes:
         assert "--snr" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corpus_state", ["valid", "missing"])
+    @pytest.mark.parametrize("flag,value", [("--snr", "nan"), ("--noise", "pink")])
+    def test_evaluate_bad_grid_is_checked_first(self, workspace, tmp_path, capsys,
+                                                flag, value, corpus_state):
+        """A bad SNR or noise type is a usage error whether or not the corpus
+        can be read: the grid is checked before any file is."""
+        _, corpus, _, full = workspace
+        if corpus_state == "missing":
+            corpus = tmp_path / "nowhere"
+        out = tmp_path / "r.csv"
+        code = main(["evaluate", "--bundle", str(full), "--corpus", str(corpus),
+                     "--out", str(out), "--noise", "white", "--snr", "0", flag, value])
+        assert code == 1
+        assert value in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_frame_length_flag_is_usage_error(self, workspace, tmp_path, capsys):
         """The bundle fixes the frame length; evaluate has no flag for it."""
         _, corpus, _, full = workspace

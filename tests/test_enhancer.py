@@ -1,5 +1,7 @@
 """Full enhancement pipeline on synthetic utterances."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from nnmm.dsp import (
     stft,
 )
 from nnmm.enhancer import (
+    REFERENCE_MODE,
     EnhancerConfig,
     enhance_batch,
     enhance_mixmax_original,
@@ -149,6 +152,14 @@ class TestContracts:
         with pytest.raises(ValueError, match="requires a trained classifier"):
             enhance_batch([noisy, noisy], mog, None, EnhancerConfig())
 
+    def test_alpha_range(self):
+        """alpha lies in [0, 1): 0 holds the prefix noise model, 1 would
+        replace the model by each frame."""
+        assert EnhancerConfig(alpha=0.0).alpha == 0.0
+        for bad in (1.0, -0.1):
+            with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\)"):
+                EnhancerConfig(alpha=bad)
+
     def test_too_short_utterance_rejected(self, setup):
         mog, net, _, _ = setup
         stub = Waveform(samples=np.random.default_rng(0).standard_normal(700),
@@ -243,8 +254,8 @@ class TestComposition:
             rho, h = speech_dominance(logs[t], speech, noise)
             p = generative_posterior(h, mog)
             check_posteriors(p)
-            manual[t], _ = weighted_mmse(logs[t], p, rho,
-                                         conditional_mean_below(logs[t], speech, mog))
+            manual[t] = weighted_mmse(logs[t], p, rho,
+                                      conditional_mean_below(logs[t], speech, mog))
 
         # spot-check one frame against the closed form written out
         t = spec.n_frames // 2
@@ -264,6 +275,20 @@ class TestComposition:
         out = enhance_mixmax_original(noisy, mog, cfg)
         assert len(out) == len(noisy)
         np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("inputs", ["white", "silence-gap"])
+    def test_mixmax_original_is_the_reference_mode(self, setup, inputs):
+        """enhance_mixmax_original is enhance_utterance's waveform with the
+        config set to REFERENCE_MODE, bit for bit, whatever the config's
+        own alpha, estimator and posterior source."""
+        mog, _, clean, noisy = setup
+        noisy = named_input(inputs, clean, noisy)
+        cfg = EnhancerConfig(alpha=0.3, beta=1.0, estimator="soft-subtraction",
+                             posterior_source="nn")
+        out = enhance_mixmax_original(noisy, mog, cfg)
+        expected, _ = enhance_utterance(noisy, mog, None, replace(cfg, **REFERENCE_MODE))
+        assert isinstance(out, Waveform) and out.sample_rate == expected.sample_rate
+        np.testing.assert_array_equal(out.samples, expected.samples)
 
     @staticmethod
     def replay_full_loop(setup, posterior_source):
@@ -318,27 +343,35 @@ class TestComposition:
 
 MODES = [(est, src) for est in ("soft-subtraction", "mixmax-mmse")
          for src in ("nn", "generative")]
-REFERENCE = EnhancerConfig(estimator="mixmax-mmse", posterior_source="generative")
+REFERENCE = EnhancerConfig(**REFERENCE_MODE)
 # Every mode on the white and silence-gap inputs, the exact generative modes
 # on the step input too.  With the NN, the batched forward's rounding
 # compounds through adaptation across the step and moves the final noise
-# model by more than the 1e-14 the white input keeps.
-FRAME_LOOP_CASES = [(est, src, inputs) for est, src in MODES
+# model by more than the 1e-14 the white input keeps.  At alpha 0 nothing
+# adapts, so every mode runs the step input too, in block steps.
+FRAME_LOOP_CASES = [(est, src, inputs, alpha) for alpha in (0.1, 0.0) for est, src in MODES
                     for inputs in ("white", "step", "silence-gap")
-                    if inputs != "step" or src == "generative"]
+                    if inputs != "step" or src == "generative" or alpha == 0]
+
+
+def frame_loop_id(case):
+    *names, alpha = case
+    return "-".join(names + ([] if alpha else ["alpha0"]))
 
 
 class TestHoisting:
-    @pytest.mark.parametrize("estimator,posterior_source,inputs", FRAME_LOOP_CASES)
-    def test_matches_frame_loop(self, setup, estimator, posterior_source, inputs):
+    @pytest.mark.parametrize("estimator,posterior_source,inputs,alpha", FRAME_LOOP_CASES,
+                             ids=[frame_loop_id(case) for case in FRAME_LOOP_CASES])
+    def test_matches_frame_loop(self, setup, estimator, posterior_source, inputs, alpha):
         """Batched NN forward, blockwise speech side and batched subtraction
-        and reconstruction reproduce the per-frame loop.  Only the batched
-        forward may round differently, so without the NN the samples match
-        exactly."""
+        and reconstruction reproduce the per-frame loop, at the default
+        alpha and at alpha 0, where the recursion takes block steps.  Only
+        the batched forward may round differently, so without the NN the
+        samples match exactly."""
         mog, net, clean, noisy = setup
         noisy = named_input(inputs, clean, noisy)
-        cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
-        expected, ref = enhance_by_frame(noisy, mog, net, cfg, adapt_noise=True)
+        cfg = EnhancerConfig(alpha=alpha, estimator=estimator, posterior_source=posterior_source)
+        expected, ref = enhance_by_frame(noisy, mog, net, cfg)
         out, report = enhance_utterance(noisy, mog, net, cfg)
         if posterior_source == "nn":
             np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
@@ -372,9 +405,9 @@ class TestHoisting:
         else:
             waves = [named_input(inputs, clean, noisy)]
 
-        got = enhancer._run(waves, mog, None, REFERENCE, adapt_noise=False)
+        got = enhance_batch(waves, mog, None, REFERENCE)
         for (y, report), w in zip(got, waves, strict=True):
-            expected, ref = enhance_by_frame(w, mog, None, REFERENCE, adapt_noise=False)
+            expected, ref = enhance_by_frame(w, mog, None, REFERENCE)
             np.testing.assert_array_equal(y.samples, expected)
             np.testing.assert_array_equal(report.frame_mean_spp, ref.frame_mean_spp)
             np.testing.assert_array_equal(report.posteriors, ref.posteriors)
@@ -400,7 +433,7 @@ class TestHoisting:
                                    (3, 10.0, False, True)])
         logspecs, posteriors, _, noise = enhancer._precompute(waves, mog, None, REFERENCE)
         *_, (undecidable, tail) = enhancer._recursion(logspecs, posteriors, noise, mog,
-                                                      REFERENCE, adapt_noise=False)
+                                                      REFERENCE)
         assert undecidable.shape == tail.shape == logspecs.shape[:2]
 
         want_undecidable, want_tail = np.zeros_like(undecidable), np.zeros_like(tail)
@@ -414,7 +447,7 @@ class TestHoisting:
         np.testing.assert_array_equal(tail, want_tail)
         assert undecidable[:, 1:].any(axis=0).all() and tail.any()
 
-        reports = [r for _, r in enhancer._run(waves, mog, None, REFERENCE, adapt_noise=False)]
+        reports = [r for _, r in enhance_batch(waves, mog, None, REFERENCE)]
         assert [(r.diagnostics.undecidable_bins, r.diagnostics.tail_fallbacks)
                 for r in reports] == list(zip(undecidable.sum(axis=0), tail.sum(axis=0)))
 
@@ -454,7 +487,7 @@ class TestHoisting:
         mog, _, _, noisy = setup
         calls = count_calls(monkeypatch, ("speech_dominance", "generative_posterior",
                                           "conditional_mean_below", "adapt"))
-        [(_, report)] = enhancer._run([noisy], mog, None, REFERENCE, adapt_noise=False)
+        _, report = enhance_utterance(noisy, mog, None, REFERENCE)
         n = report.frames_processed
         assert n % enhancer.SPEECH_BLOCK  # a short last block
         blocks = -(-n // enhancer.SPEECH_BLOCK)
@@ -503,9 +536,9 @@ class TestBatching:
             cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
             for got, w in zip(enhance_batch(waves, mog, net, cfg), waves, strict=True):
                 assert_same_row(got, enhance_utterance(w, mog, net, cfg))
-        batched = enhancer._run(waves, mog, None, REFERENCE, adapt_noise=False)
+        batched = enhance_batch(waves, mog, None, REFERENCE)
         for got, w in zip(batched, waves, strict=True):
-            assert_same_row(got, enhancer._run([w], mog, None, REFERENCE, adapt_noise=False)[0])
+            assert_same_row(got, enhance_utterance(w, mog, None, REFERENCE))
             np.testing.assert_array_equal(
                 got[0].samples, enhance_mixmax_original(w, mog, EnhancerConfig()).samples)
 
@@ -631,7 +664,7 @@ class TestResultsOwnTheirArrays:
 
 class TestInputChecks:
     """adapt's checks of the observations and the SPP run once per
-    utterance, outside the frame loop, with adapt's errors."""
+    utterance, outside the frame loop, with adapt's errors, at every alpha."""
 
     def test_checked_once_per_utterance(self, setup, monkeypatch):
         mog, net, _, noisy = setup
@@ -640,7 +673,7 @@ class TestInputChecks:
         assert calls == {"check_observations": 1, "check_spp": 1}
         calls.clear()
         enhance_mixmax_original(noisy, mog, EnhancerConfig())
-        assert calls == {}  # the noise never adapts
+        assert calls == {"check_observations": 1, "check_spp": 1}
 
     def test_non_finite_observation_rejected_before_the_recursion(self, setup, monkeypatch):
         mog, net, _, noisy = setup

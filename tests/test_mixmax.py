@@ -96,7 +96,7 @@ def mmse_at(z, p, mog, noise):
     the posterior checked, then weighted."""
     check_posteriors(p)
     rho, _ = dominance(z, mog, noise)
-    return weighted_mmse(z, p, rho, truncated(z, mog))[0]
+    return weighted_mmse(z, p, rho, truncated(z, mog))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +497,7 @@ class TestMmse:
         rho, _ = dominance(z, mog, noise)
         below = truncated(z, mog)
         expected = rho[1] * z + (1 - rho[1]) * below[1]
-        out, _ = weighted_mmse(z, np.array([0.0, 1.0]), rho, below)
+        out = weighted_mmse(z, np.array([0.0, 1.0]), rho, below)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_never_exceeds_observation(self):
@@ -653,9 +653,8 @@ class TestKernelProperties:
         for p in (p_gen, p_ext):
             spp = spp_of(p, rho)
             assert np.all((spp >= 0) & (spp <= 1))
-            xhat, spp_mmse = weighted_mmse(z, p, rho, below)
+            xhat = weighted_mmse(z, p, rho, below)
             assert np.all(xhat <= z + 1e-9)
-            np.testing.assert_array_equal(spp_mmse, spp)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +741,7 @@ class TestWorkspaceForms:
         want_counts = np.zeros(frame[:-2], np.int64)  # (), (B,) or (T, B)
         rho, h = speech_dominance(z, (f, big_f), noise, want_counts)
         want_spp = weighted_spp(p, rho)
-        want_xhat, want_mmse_spp = weighted_mmse(z, p, rho, below)
+        want_xhat = weighted_mmse(z, p, rho, below)
 
         def nans(shape):
             return np.full(shape, np.nan)
@@ -761,10 +760,8 @@ class TestWorkspaceForms:
         spp = nans(want_spp.shape)
         assert weighted_spp(p, got_rho, out=spp) is spp
         np.testing.assert_array_equal(spp, want_spp)
-        mmse_out = (nans(want_xhat.shape), nans(want_spp.shape))
-        xhat, mmse_spp = weighted_mmse(z, p, got_rho, below, out=mmse_out)
-        assert xhat is mmse_out[0] and mmse_spp is mmse_out[1]
+        xhat = nans(want_xhat.shape)
+        assert weighted_mmse(z, p, got_rho, below, out=xhat) is xhat
         np.testing.assert_array_equal(xhat, want_xhat)
-        np.testing.assert_array_equal(mmse_spp, want_mmse_spp)
         for got, want in zip(inputs, before):
             np.testing.assert_array_equal(got, want)

@@ -73,9 +73,11 @@ class TestAdapt:
         np.testing.assert_allclose(np.exp(ratios), 0.9, rtol=1e-10)
 
     def test_alpha_range_checked(self):
+        """alpha lies in [0, 1): 1.0 and a negative value are refused."""
         model = NoiseModel(mu=np.zeros(2), sigma=np.ones(2))
-        with pytest.raises(ValueError, match="alpha"):
-            adapt(model, np.zeros(2), np.zeros(2), 1.0)
+        for bad in (1.0, -0.1):
+            with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\)"):
+                adapt(model, np.zeros(2), np.zeros(2), bad)
 
     def test_spp_range_checked(self):
         model = NoiseModel(mu=np.zeros(2), sigma=np.ones(2))
@@ -98,7 +100,8 @@ class TestAdapt:
 
 @st.composite
 def adapt_cases(draw):
-    """A noise model, a finite frame, an SPP in [0, 1] and alpha in (0, 1)."""
+    """A noise model, a finite frame, an SPP in [0, 1] and alpha in (0, 1);
+    the tests at alpha 0 ignore the alpha drawn."""
     k = draw(st.integers(1, 16))
 
     def vec(lo, hi):
@@ -129,6 +132,19 @@ class TestAdaptProperties:
         for a, b in zip(inputs, before):
             np.testing.assert_array_equal(a, b)
         assert not any(np.shares_memory(o, a) for o in (out.mu, out.sigma) for a in inputs)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(adapt_cases())
+    def test_alpha_zero_returns_the_model(self, case):
+        """At alpha 0 the gate is 0 in every bin: the allocating and the
+        workspace forms both return the model's mu and sigma unchanged."""
+        model, z, rho, _ = case
+        for out in (None, (NoiseModel(mu=np.full(model.mu.shape, 7.0),
+                                      sigma=np.full(model.mu.shape, 7.0)),
+                           np.full(model.mu.shape, np.nan))):
+            got = adapt(model, z, rho, 0.0, out=out)
+            np.testing.assert_array_equal(got.mu, model.mu)
+            np.testing.assert_array_equal(got.sigma, model.sigma)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(adapt_cases())
