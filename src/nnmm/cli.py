@@ -10,7 +10,7 @@ import argparse
 import csv
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -91,36 +91,38 @@ def parse_config_file(path: str) -> dict:
 
 
 def _enhancer_settings(args) -> dict:
-    """The enhancer settings given, config file < explicit flags; values
-    not yet typed, and settings left at their default absent."""
+    """The enhancer settings given, config file < explicit flags, typed;
+    settings left at their default are absent."""
     merged = parse_config_file(args.config) if args.config else {}
     for key in CONFIG_TYPES:
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
-    return merged
+    try:
+        return {key: CONFIG_TYPES[key](value) for key, value in merged.items()}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _check_reference_settings(settings: dict) -> None:
-    """Refuse settings the fixed-noise reference mode cannot honour: it has
-    no noise adaptation (alpha) and no soft subtraction (beta), and its
-    estimator and posterior source are fixed."""
-    for key in ("alpha", "beta"):
-        if key in settings:
-            raise UsageError(f"--fixed-noise cannot honour {key}={settings[key]}: "
-                             "the reference mode neither adapts the noise nor subtracts")
+    """Refuse settings the fixed-noise reference mode cannot honour: it
+    does no soft subtraction (beta), and its alpha, estimator and posterior
+    source are fixed."""
+    if "beta" in settings:
+        raise UsageError(f"--fixed-noise cannot honour beta={settings['beta']}: "
+                         "the reference mode does not subtract")
     for key, fixed in REFERENCE_MODE.items():
         if settings.get(key, fixed) != fixed:
             raise UsageError(f"--fixed-noise cannot honour {key}={settings[key]}: "
                              f"the reference mode always uses {fixed}")
 
 
-def build_enhancer_config(settings: dict, frame_length: int) -> EnhancerConfig:
-    """An EnhancerConfig from :func:`_enhancer_settings` and the bundle's
-    frame length; unset fields keep their defaults."""
+def build_enhancer_config(settings: dict) -> EnhancerConfig:
+    """An EnhancerConfig from :func:`_enhancer_settings`, checked before any
+    file is read; unset fields keep their defaults.  The frame length is the
+    default one until the caller replaces it with the bundle's."""
     try:
-        typed = {key: CONFIG_TYPES[key](value) for key, value in settings.items()}
-        return EnhancerConfig(frame_length=frame_length, **typed)
-    except (TypeError, ValueError) as exc:
+        return EnhancerConfig(**settings)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -239,8 +241,9 @@ def cmd_enhance(args) -> int:
     settings = _enhancer_settings(args)
     if args.fixed_noise:
         _check_reference_settings(settings)
+    cfg = build_enhancer_config(settings)
     bundle = load_bundle(args.bundle)
-    cfg = build_enhancer_config(settings, frame_length=bundle.frame_length)
+    cfg = replace(cfg, frame_length=bundle.frame_length)
     wav = read_wav(args.infile, expected_rate=bundle.sample_rate)
     if args.fixed_noise:
         out = enhance_mixmax_original(wav, bundle.mog, cfg)
@@ -273,8 +276,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    # The grid is checked before any file is read, so a mistyped flag costs
-    # no corpus read and exits 1 whatever state the files are in.
+    # The grid and the settings are checked before any file is read, so a
+    # mistyped flag costs no corpus read and exits 1 whatever state the files
+    # are in.
     noise_types = [t.strip() for t in args.noise.split(",") if t.strip()]
     for t in noise_types:
         if t not in ("white", "step"):
@@ -287,8 +291,9 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"--snr {args.snr!r}: every SNR must be finite")
     if not snrs or not noise_types:
         raise UsageError("need at least one SNR and one noise type")
+    cfg = build_enhancer_config(_enhancer_settings(args))
     bundle = load_bundle(args.bundle)
-    cfg = build_enhancer_config(_enhancer_settings(args), frame_length=bundle.frame_length)
+    cfg = replace(cfg, frame_length=bundle.frame_length)
     _check_classifier(cfg, bundle)
     utterances, _ = _load_compatible_corpus(args, bundle)
 

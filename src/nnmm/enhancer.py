@@ -7,11 +7,10 @@ private functions that :func:`_run` calls in turn and that pass plain arrays:
   on the noise: STFT and log-spectra, the noise model of the prefix, and the
   MFCC features and the classifier's posteriors in one batched forward pass;
 * :func:`_recursion` runs the frames in time order.  A block of frames at a
-  time it forms the speech side of the max model, f and F (and, for the
-  MMSE estimator, the truncated means formed from them); then, step by
-  step, the noise side of the dominance, the generative posterior where the
-  mode uses it, the SPP (and the MMSE estimate), and the SPP-gated noise
-  update;
+  time it takes the speech side of the max model, f and F, and, for the
+  MMSE estimator, forms the truncated means from them; then, step by step,
+  the noise side of the dominance, the generative posterior where the mode
+  uses it, the SPP (and the MMSE estimate), and the SPP-gated noise update;
 * the tail, over all frames at once: soft subtraction and reconstruction,
   which :func:`_run` does itself so that it drops each whole-utterance
   array once used, then :func:`_tail`'s overlap-add and reports.
@@ -23,6 +22,23 @@ frame depends on another: each step takes a whole block of frames,
 (T, B, ...) arrays, through the same functions, and skips the update.  The
 results are the per-frame ones bit for bit, with a Python call per block
 instead of per frame.
+
+f and F read only the observation and the mixture, so one worker thread
+forms them, :func:`speech_terms` over a chunk of ``CHUNK_BLOCKS`` blocks
+(about 64 frame-rows) at a time, while the main thread steps through the
+chunk before it.  A block whose chunk is not ready when its turn comes is
+formed on the main thread, as the serial recursion forms it, so a worker
+held up by a busy core never holds up the recursion.  Only that stage
+moves: it is elementwise, so neither chunking nor the thread that forms a
+block changes a value, and everything else, the truncated means included,
+stays on the main thread in its blocks.  The chunks must be large.  Every
+ufunc call on the worker releases the GIL and must take it back from the
+main thread, which holds it between its many small per-frame calls; a
+worker task per block made so many calls that the handoffs ate most of the
+overlap in the default mode, while a chunk is a few large calls.  The
+worker runs in the caller's ``contextvars`` context, so an ``np.errstate``
+around the call applies there too, and :func:`_recursion` joins it before
+it returns or raises.
 
 The adaptive step runs once per frame, so it checks nothing and keeps one
 workspace.  Each call of :func:`_recursion` makes, once,
@@ -71,6 +87,8 @@ generative posterior at ``alpha = 0`` (Nádas, Nahamoo & Picheny 1989);
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,13 +125,23 @@ POSTERIOR_SOURCES = ("nn", "generative")
 # holds the prefix noise model for the whole utterance.
 REFERENCE_MODE = {"alpha": 0.0, "estimator": "mixmax-mmse", "posterior_source": "generative"}
 
-# Frame-rows whose speech-side terms are formed together, and, with the
-# noise fixed, that one recursion step takes: a block is SPEECH_BLOCK // B
-# frames of all B rows.  Each block holds a few (frames, B, m, K) arrays, so
-# memory grows with neither the utterance nor the batch; 16 frame-rows
-# already amortize the per-call overhead, and larger blocks only raise peak
-# memory.
+# Frame-rows whose truncated means are formed together, and, with the noise
+# fixed, that one recursion step takes: a block is SPEECH_BLOCK // B frames
+# of all B rows.  Each block holds a few (frames, B, m, K) arrays, so memory
+# grows with neither the utterance nor the batch; 16 frame-rows amortize
+# most of the per-call overhead.
 SPEECH_BLOCK = 16
+
+# Blocks whose speech-side terms the recursion's worker thread forms in one
+# task, a chunk ahead of the frames the main thread steps through.  Paired
+# in-process timings on a 2-vCPU VM, one BLAS thread, with the main thread
+# waiting for each chunk, as ratios to the serial recursion, for chunks of
+# 1, 2, 4, 8 and 16 blocks: a 12 s default-mode utterance 0.95, 0.86, 0.79,
+# 0.81, 0.80; a 5 s reference-mode one 0.77, 0.69, 0.69, 0.72, 0.82; six
+# batched 1.75 s rows 0.86, 0.81, 0.78, 0.78, 0.83.  Small chunks are many
+# small ufunc calls, each handing the GIL to and from the main thread's
+# per-frame calls; large ones no longer fit the cache.
+CHUNK_BLOCKS = 4
 
 # Most rows one recursion runs.  In a mock-up of the per-frame noise-side
 # step, the cost per row-frame fell from 44 us alone to about 17 us at 6 to
@@ -244,6 +272,38 @@ def _precompute(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None
     return logspecs, posteriors, [s.frames for s in specs], noise
 
 
+def _speech_ahead(pool: ThreadPoolExecutor, zs: np.ndarray, mog: PhonemeMog, block: int):
+    """:func:`speech_terms` of the frames ``zs``, as ``(first frame, (f, F))``
+    per block of ``block`` frames.
+
+    ``pool``'s worker forms ``CHUNK_BLOCKS`` blocks at a time, one chunk
+    ahead of the block the caller has, in the caller's context, so its
+    ``np.errstate`` applies there too.  A block whose chunk the worker has
+    not finished when the block's turn comes is formed here instead, so the
+    caller never waits for a worker that a busy core holds up.  The values,
+    and the errors under the caller's ``np.errstate``, are the same either
+    way, since ``speech_terms`` is elementwise: a chunk's error is raised
+    when a block is taken from it, or by forming a block of it here.
+    """
+    chunk = CHUNK_BLOCKS * block
+
+    def submit(first):
+        return pool.submit(contextvars.copy_context().run, speech_terms,
+                           zs[first:first + chunk], mog)
+
+    ahead = submit(0)
+    for first in range(0, len(zs), chunk):
+        done = ahead
+        if first + chunk < len(zs):
+            ahead = submit(first + chunk)
+        for start in range(first, min(first + chunk, len(zs)), block):
+            if done.done():
+                at = slice(start - first, start - first + block)
+                yield start, tuple(a[at] for a in done.result())
+            else:
+                yield start, speech_terms(zs[start:start + block], mog)
+
+
 def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, mog: PhonemeMog,
                cfg: EnhancerConfig) -> tuple[np.ndarray, np.ndarray | None, NoiseModel, tuple]:
     """The frames in time order: SPP, MMSE estimate and noise update.
@@ -271,26 +331,26 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, 
         noise_side = [np.empty_like(noise.mu) for _ in range(4)]
         dominance = (noise_side, np.empty(per_component), np.empty(per_component))
     block = max(1, SPEECH_BLOCK // logspecs.shape[1])
-    for first in range(0, len(logspecs), block):
-        at = slice(first, first + block)
-        zs, ps, spps, counts = logspecs[at], posteriors[at], spp[at], undecidable[at]
-        f, big_f = speech_terms(zs[:, :, 0], mog)
-        if mmse:
-            below = conditional_mean_below(zs[:, :, 0], (f, big_f), mog, tail[at])
-            xhats = xhat[at]
-        # A step is one frame when the noise adapts, since the next frame
-        # reads the updated model, and the whole block when alpha = 0 holds
-        # it fixed.
-        for i in range(len(zs)) if adapting else (slice(None),):
-            z, s = zs[i], spps[i]
-            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, counts[i], out=dominance)
-            if generative:
-                ps[i, :, 0] = generative_posterior(h, mog)
-            weighted_spp(ps[i], rho, out=s)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for first, (f, big_f) in _speech_ahead(pool, logspecs[:, :, 0], mog, block):
+            at = slice(first, first + block)
+            zs, ps, spps, counts = logspecs[at], posteriors[at], spp[at], undecidable[at]
             if mmse:
-                weighted_mmse(z, ps[i], rho, below[i], out=xhats[i])
-            if adapting:
-                noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate)), noise
+                below = conditional_mean_below(zs[:, :, 0], (f, big_f), mog, tail[at])
+                xhats = xhat[at]
+            # A step is one frame when the noise adapts, since the next frame
+            # reads the updated model, and the whole block when alpha = 0
+            # holds it fixed.
+            for i in range(len(zs)) if adapting else (slice(None),):
+                z, s = zs[i], spps[i]
+                rho, h = speech_dominance(z, (f[i], big_f[i]), noise, counts[i], out=dominance)
+                if generative:
+                    ps[i, :, 0] = generative_posterior(h, mog)
+                weighted_spp(ps[i], rho, out=s)
+                if mmse:
+                    weighted_mmse(z, ps[i], rho, below[i], out=xhats[i])
+                if adapting:
+                    noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate)), noise
     check_spp(spp)
     if generative:
         check_posteriors(posteriors)

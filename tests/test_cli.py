@@ -400,8 +400,9 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_fixed_noise_takes_its_own_settings(self, workspace, tmp_path, capsys):
-        """The reference mode's own estimator and posterior source, and the
-        noise prefix it reads, are accepted and change nothing."""
+        """The reference mode's own alpha, estimator and posterior source, and
+        the noise prefix it reads, are accepted and change nothing; alpha 0
+        is accepted as a flag, as 0.0 and as a config-file key."""
         _, corpus, _, full = workspace
         noisy = sorted(corpus.glob("*.wav"))[0]
         plain, explicit = tmp_path / "plain.wav", tmp_path / "explicit.wav"
@@ -410,6 +411,12 @@ class TestExitCodes:
         assert main([*argv, "--out", str(explicit), "--estimator", "mixmax-mmse",
                      "--posterior", "generative", "--noise-prefix", "0.25"]) == 0
         assert plain.read_bytes() == explicit.read_bytes()
+        cfg = tmp_path / "enh.cfg"
+        cfg.write_text("alpha = 0\n")
+        for extra in (["--alpha", "0"], ["--alpha", "0.0"], ["--config", str(cfg)]):
+            explicit.unlink()
+            assert main([*argv, "--out", str(explicit), *extra]) == 0
+            assert plain.read_bytes() == explicit.read_bytes()
         capsys.readouterr()
 
     @pytest.mark.parametrize("snr", ["5,abc", "nan", "inf"])
@@ -421,6 +428,25 @@ class TestExitCodes:
                      "--out", str(out), "--noise", "white", "--snr", snr])
         assert code == 1
         assert "--snr" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bundle_state", ["valid", "missing"])
+    @pytest.mark.parametrize("flag,value", [("--alpha", "2"), ("--beta", "-1"),
+                                            ("--noise-prefix", "0")])
+    @pytest.mark.parametrize("command", ["enhance", "evaluate"])
+    def test_bad_enhancer_setting_is_checked_first(self, workspace, tmp_path, capsys,
+                                                   command, flag, value, bundle_state):
+        """A bad enhancer setting is a usage error whether or not the bundle
+        can be read: the settings are checked before any file is."""
+        _, corpus, _, full = workspace
+        if bundle_state == "missing":
+            full = tmp_path / "nowhere.nnmm"
+        out = tmp_path / "out"
+        source = {"enhance": ["--in", str(sorted(corpus.glob("*.wav"))[0])],
+                  "evaluate": ["--corpus", str(corpus), "--snr", "0"]}[command]
+        assert main([command, "--bundle", str(full), *source, "--out", str(out),
+                     flag, value]) == 1
+        assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("corpus_state", ["valid", "missing"])

@@ -1,5 +1,8 @@
 """Full enhancement pipeline on synthetic utterances."""
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -590,6 +593,156 @@ class TestBatching:
                                ([head, slower], "sample rate")):
             with pytest.raises(ValueError, match=message):
                 enhance_batch(waves, mog, net, EnhancerConfig())
+
+
+# ---------------------------------------------------------------------------
+# The speech side on the worker thread
+# ---------------------------------------------------------------------------
+
+
+WORKER_MODES = [(est, src, 0.1) for est, src in MODES] + [
+    (REFERENCE.estimator, REFERENCE.posterior_source, REFERENCE.alpha)]
+
+
+def per_frame_forward(monkeypatch):
+    """The enhancer's classifier posteriors formed one frame at a time, as
+    the frame loop forms them, so the classifier modes compare bit for bit
+    too."""
+    monkeypatch.setattr(enhancer, "forward",
+                        lambda net, feats: np.stack([forward(net, x) for x in feats]))
+
+
+class TestSpeechSideWorker:
+    """One worker thread forms f and F a chunk of CHUNK_BLOCKS blocks ahead
+    of the frames the recursion steps through."""
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
+    @pytest.mark.parametrize("estimator,posterior_source,alpha", WORKER_MODES,
+                             ids=[frame_loop_id(case) for case in WORKER_MODES])
+    def test_matches_frame_loop_across_chunks(self, setup, monkeypatch, rows,
+                                              estimator, posterior_source, alpha):
+        """Every mode and the reference mode, one row and a batch of three,
+        equal the frame loop bit for bit over four chunks, the last of them
+        short and ending in a short block."""
+        mog, net, clean, noisy = setup
+        waves = [with_silence_gap(noisy)] if rows == 1 else noisy_rows(
+            clean, [(1, 0.0, False, False), (2, 5.0, True, True), (3, 10.0, False, True)])
+        block = enhancer.SPEECH_BLOCK // rows
+        chunk = enhancer.CHUNK_BLOCKS * block
+        per_frame_forward(monkeypatch)
+        cfg = EnhancerConfig(alpha=alpha, estimator=estimator, posterior_source=posterior_source)
+        got = enhance_batch(waves, mog, net, cfg)
+        n = got[0][1].frames_processed
+        assert n > 3 * chunk and n % block  # a short last block, so a short last chunk
+        for pair, w in zip(got, waves, strict=True):
+            expected, ref = enhance_by_frame(w, mog, net, cfg)
+            assert_same_row(pair, (Waveform(samples=expected, sample_rate=w.sample_rate), ref))
+
+    def test_worker_runs_under_callers_errstate(self, setup, monkeypatch):
+        """The second chunk's frames sit 60 standard deviations above every
+        component, so the speech side's exp underflows there and nowhere
+        else.  The first step stalls until the worker has formed that
+        chunk, so the recursion takes the worker's result.  Under the
+        caller's ``np.errstate(under="raise")`` the worker raises, as the
+        serial code does, and the error reaches the caller; without it the
+        call runs."""
+        mog = setup[0]
+        chunk = enhancer.CHUNK_BLOCKS * enhancer.SPEECH_BLOCK
+        near = mog.means.mean(axis=0)
+        far = mog.means.max(axis=0) + 60 * mog.stds.max(axis=0)
+        logspecs = np.concatenate([np.broadcast_to(near, (chunk, 1, 1, mog.n_bins)),
+                                   np.broadcast_to(far, (chunk, 1, 1, mog.n_bins))])
+        # wide enough that the noise side stays near its mode at every frame
+        noise = NoiseModel(mu=logspecs[0].copy(), sigma=np.full((1, 1, mog.n_bins), 1e3))
+        cfg = EnhancerConfig(alpha=0.0)
+
+        def recursion(frames):
+            posteriors = np.full((frames, 1, 1, mog.n_components), 1 / mog.n_components)
+            return enhancer._recursion(logspecs[:frames], posteriors, noise, mog, cfg)
+
+        with np.errstate(under="raise"):
+            recursion(chunk)  # the first chunk alone underflows nowhere
+            with pytest.raises(FloatingPointError):
+                speech_terms(far, mog)
+        recursion(2 * chunk)
+
+        spp, steps = enhancer.weighted_spp, []
+
+        def first_step_waits(posterior, rho, *, out):
+            if not steps:
+                time.sleep(0.5)
+            steps.append(None)
+            return spp(posterior, rho, out=out)
+
+        monkeypatch.setattr(enhancer, "weighted_spp", first_step_waits)
+        baseline = threading.active_count()
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            recursion(2 * chunk)
+        assert len(steps) == enhancer.CHUNK_BLOCKS  # raised as the second chunk was taken
+        assert threading.active_count() == baseline
+
+    def test_blocks_formed_here_when_the_worker_lags(self, setup, monkeypatch):
+        """A worker that a busy core holds up does not hold up the
+        recursion: blocks whose chunk is not ready are formed on the
+        calling thread, with the same values."""
+        mog, net, _, noisy = setup
+        w = with_silence_gap(noisy)
+        cfgs = [EnhancerConfig(), REFERENCE]
+        expected = [enhance_utterance(w, mog, net, cfg) for cfg in cfgs]
+
+        caller, here = threading.current_thread(), []
+
+        def slow_on_the_worker(zs, mog):
+            if threading.current_thread() is caller:
+                here.append(len(zs))
+            else:
+                time.sleep(0.2)
+            return speech_terms(zs, mog)
+
+        monkeypatch.setattr(enhancer, "speech_terms", slow_on_the_worker)
+        for cfg, want in zip(cfgs, expected, strict=True):
+            here.clear()
+            got = enhance_utterance(w, mog, net, cfg)
+            assert_same_row(got, want)
+            assert len(here) > enhancer.CHUNK_BLOCKS  # blocks of more than one chunk
+
+    def test_worker_joined_on_return_and_on_error(self, setup, monkeypatch):
+        """No thread outlives a call, nor a call that fails at frame 100,
+        in the second chunk, while the worker has the third."""
+        mog, net, _, noisy = setup
+        baseline = threading.active_count()
+        enhance_utterance(noisy, mog, net, EnhancerConfig())
+        assert threading.active_count() == baseline
+
+        spp, frames = enhancer.weighted_spp, []
+
+        def fails_at_frame_100(posterior, rho, *, out):
+            frames.append(None)
+            if len(frames) == 100:
+                raise RuntimeError("frame 100")
+            return spp(posterior, rho, out=out)
+
+        monkeypatch.setattr(enhancer, "weighted_spp", fails_at_frame_100)
+        with pytest.raises(RuntimeError, match="frame 100"):
+            enhance_utterance(noisy, mog, net, EnhancerConfig())
+        assert threading.active_count() == baseline
+
+    def test_outputs_equal_under_fast_switching(self, setup):
+        """Thread switches every microsecond interleave the worker with the
+        recursion as finely as the interpreter allows; nothing changes."""
+        mog, net, _, noisy = setup
+        w = with_silence_gap(noisy)
+        cfgs = [EnhancerConfig(), EnhancerConfig(estimator="mixmax-mmse",
+                                                 posterior_source="generative"), REFERENCE]
+        expected = [enhance_utterance(w, mog, net, cfg) for cfg in cfgs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [enhance_utterance(w, mog, net, cfg) for cfg in cfgs]
+        finally:
+            sys.setswitchinterval(interval)
+        for pair, want in zip(got, expected, strict=True):
+            assert_same_row(pair, want)
 
 
 # ---------------------------------------------------------------------------
