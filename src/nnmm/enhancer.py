@@ -6,6 +6,7 @@ private functions that :func:`_run` calls in turn and that pass plain arrays:
 * :func:`_precompute`, over all frames, does the work that does not depend
   on the noise: STFT and log-spectra, the noise model of the prefix, and the
   MFCC features and the classifier's posteriors in one batched forward pass;
+  before the features it starts a worker thread on the speech side;
 * :func:`_recursion` runs the frames in time order.  A block of frames at a
   time it takes the speech side of the max model, f and F, and, for the
   MMSE estimator, forms the truncated means from them; then, step by step,
@@ -25,20 +26,31 @@ instead of per frame.
 
 f and F read only the observation and the mixture, so one worker thread
 forms them, :func:`speech_terms` over a chunk of ``CHUNK_BLOCKS`` blocks
-(about 64 frame-rows) at a time, while the main thread steps through the
-chunk before it.  A block whose chunk is not ready when its turn comes is
-formed on the main thread, as the serial recursion forms it, so a worker
-held up by a busy core never holds up the recursion.  Only that stage
-moves: it is elementwise, so neither chunking nor the thread that forms a
-block changes a value, and everything else, the truncated means included,
-stays on the main thread in its blocks.  The chunks must be large.  Every
-ufunc call on the worker releases the GIL and must take it back from the
-main thread, which holds it between its many small per-frame calls; a
-worker task per block made so many calls that the handoffs ate most of the
-overlap in the default mode, while a chunk is a few large calls.  The
-worker runs in the caller's ``contextvars`` context, so an ``np.errstate``
-around the call applies there too, and :func:`_recursion` joins it before
-it returns or raises.
+(about 64 frame-rows) at a time, ahead of the frames the main thread steps
+through.  The worker starts as soon as its input exists: once the
+log-spectra are checked, :func:`_precompute` submits the first
+``SPEECH_AHEAD`` chunks, and only then forms the features and runs the
+classifier, so the worker runs through the forward pass instead of waiting
+for the recursion.  Each chunk the recursion has used up submits the next,
+so at most ``SPEECH_AHEAD`` chunks are submitted and not used up; eight
+chunks of 64 frame-rows hold about 10.5 MB of f and F.  The main thread
+never waits for the worker.  A chunk whose turn comes before the worker has
+started it is cancelled and formed on the main thread in one call; a block
+of the chunk the worker is inside, not yet finished, is formed on the main
+thread on its own, as the serial recursion forms it.  So a worker held up
+by a busy core never holds up the recursion, and only the chunk the worker
+is inside can be formed twice.  Only that stage moves: it is elementwise,
+so neither chunking nor the thread that forms a block changes a value, and
+everything else, the truncated means included, stays on the main thread
+in its blocks.  The chunks must be large.  Every ufunc call on the worker
+releases the GIL and must take it back from the main thread, which holds
+it between its many small per-frame calls; a worker task per block made so
+many calls that the handoffs ate most of the overlap in the default mode,
+while a chunk is a few large calls.  The worker runs in the caller's
+``contextvars`` context, so an ``np.errstate`` around the call applies
+there too.  :func:`_run` owns it: however the call ends, the chunks the
+worker has not started are cancelled, and it is joined once it has
+finished the one it is inside, before :func:`_run` returns or raises.
 
 The adaptive step runs once per frame, so it checks nothing and keeps one
 workspace.  Each call of :func:`_recursion` makes, once,
@@ -88,6 +100,8 @@ generative posterior at ``alpha = 0`` (Nádas, Nahamoo & Picheny 1989);
 from __future__ import annotations
 
 import contextvars
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -132,16 +146,28 @@ REFERENCE_MODE = {"alpha": 0.0, "estimator": "mixmax-mmse", "posterior_source": 
 # most of the per-call overhead.
 SPEECH_BLOCK = 16
 
-# Blocks whose speech-side terms the recursion's worker thread forms in one
-# task, a chunk ahead of the frames the main thread steps through.  Paired
-# in-process timings on a 2-vCPU VM, one BLAS thread, with the main thread
-# waiting for each chunk, as ratios to the serial recursion, for chunks of
-# 1, 2, 4, 8 and 16 blocks: a 12 s default-mode utterance 0.95, 0.86, 0.79,
-# 0.81, 0.80; a 5 s reference-mode one 0.77, 0.69, 0.69, 0.72, 0.82; six
-# batched 1.75 s rows 0.86, 0.81, 0.78, 0.78, 0.83.  Small chunks are many
-# small ufunc calls, each handing the GIL to and from the main thread's
-# per-frame calls; large ones no longer fit the cache.
+# Blocks whose speech-side terms the worker thread forms in one task, ahead
+# of the frames the main thread steps through.  Paired in-process timings on
+# a 2-vCPU VM, one BLAS thread, with the worker started by the recursion one
+# chunk ahead and the main thread waiting for each chunk, as ratios to the
+# serial recursion, for chunks of 1, 2, 4, 8 and 16 blocks: a 12 s
+# default-mode utterance 0.95, 0.86, 0.79, 0.81, 0.80; a 5 s reference-mode
+# one 0.77, 0.69, 0.69, 0.72, 0.82; six batched 1.75 s rows 0.86, 0.81,
+# 0.78, 0.78, 0.83.  Small chunks are many small ufunc calls, each handing
+# the GIL to and from the main thread's per-frame calls; large ones no
+# longer fit the cache.
 CHUNK_BLOCKS = 4
+
+# Most chunks submitted to the worker and not yet used up by the recursion.
+# The worker starts before the classifier's forward pass and gets ahead by
+# as many chunks as that pass gives it time for, up to this bound.  Paired
+# in-process timings on a 2-vCPU VM, one BLAS thread, 40 alternating runs
+# per value, as ratios to 8 chunks, for 4 and 12: a 12 s default-mode
+# utterance 1.07-1.10 and 1.00; a 5 s reference-mode one, which has no
+# forward pass, 1.01 and 1.00; six batched 1.75 s rows 1.07 and 0.94.
+# Eight chunks of 64 frame-rows (m = 5, K = 257) hold about 10.5 MB of f and
+# F; twelve hold half as much again for a gain on batches alone.
+SPEECH_AHEAD = 8
 
 # Most rows one recursion runs.  In a mock-up of the per-frame noise-side
 # step, the cost per row-frame fell from 44 us alone to about 17 us at 6 to
@@ -249,14 +275,18 @@ def _time_major(rows: list[np.ndarray]) -> np.ndarray:
     return np.stack(rows, axis=1)[:, :, np.newaxis]
 
 
-def _precompute(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None,
-                cfg: EnhancerConfig) -> tuple[np.ndarray, np.ndarray, list, NoiseModel]:
+def _precompute(pool: ThreadPoolExecutor, waves: list[Waveform], mog: PhonemeMog,
+                net: NnClassifier | None,
+                cfg: EnhancerConfig) -> tuple[np.ndarray, np.ndarray, list, NoiseModel, Iterator]:
     """The noise-independent start of :func:`_run`.
 
     Returns the rows' log-spectra (N, B, 1, K), their posteriors
-    (N, B, 1, m), the rows' STFT frames and the noise model of the prefix.
-    The posteriors are the classifier's, checked here, or, for the
-    generative source, an empty array the recursion fills.
+    (N, B, 1, m), the rows' STFT frames, the noise model of the prefix and
+    the speech side's blocks from :func:`_speech_ahead`.  The posteriors
+    are the classifier's, checked here, or, for the generative source, an
+    empty array the recursion fills.  ``pool``'s worker starts on the
+    speech side as soon as the observations are checked, so it runs while
+    the classifier's forward pass does.
     """
     specs = [stft(w, cfg.frame_length) for w in waves]
     if mog.n_bins != specs[0].n_bins:
@@ -264,54 +294,75 @@ def _precompute(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None
     logspecs = _time_major([log_spectra(s) for s in specs])
     rate = waves[0].sample_rate
     noise = init_from_prefix(noise_prefix_frames(logspecs, rate, cfg))
+    # adapt's checks, once per utterance (the SPP's after the recursion),
+    # before the worker reads a frame
+    check_observations(logspecs)
+    speech = _speech_ahead(pool, logspecs[:, :, 0], mog, max(1, SPEECH_BLOCK // len(waves)))
     if cfg.posterior_source == "generative":
         posteriors = np.empty(logspecs.shape[:2] + (1, mog.n_components))
     else:
         posteriors = _time_major([_nn_posteriors(s, rate, mog, net) for s in specs])
         check_posteriors(posteriors)
-    return logspecs, posteriors, [s.frames for s in specs], noise
+    return logspecs, posteriors, [s.frames for s in specs], noise, speech
 
 
-def _speech_ahead(pool: ThreadPoolExecutor, zs: np.ndarray, mog: PhonemeMog, block: int):
-    """:func:`speech_terms` of the frames ``zs``, as ``(first frame, (f, F))``
-    per block of ``block`` frames.
+def _speech_ahead(pool: ThreadPoolExecutor, zs: np.ndarray, mog: PhonemeMog,
+                  block: int) -> Iterator:
+    """:func:`speech_terms` of the frames ``zs``, as ``(frames, (f, F))`` per
+    block of ``block`` frames, where ``frames`` is the block's slice.
 
-    ``pool``'s worker forms ``CHUNK_BLOCKS`` blocks at a time, one chunk
-    ahead of the block the caller has, in the caller's context, so its
-    ``np.errstate`` applies there too.  A block whose chunk the worker has
-    not finished when the block's turn comes is formed here instead, so the
-    caller never waits for a worker that a busy core holds up.  The values,
-    and the errors under the caller's ``np.errstate``, are the same either
-    way, since ``speech_terms`` is elementwise: a chunk's error is raised
-    when a block is taken from it, or by forming a block of it here.
+    ``pool``'s worker forms ``CHUNK_BLOCKS`` blocks at a time, in the
+    caller's context, so its ``np.errstate`` applies there too.  This call
+    submits the first ``SPEECH_AHEAD`` chunks, and each chunk the caller
+    has taken every block of submits the next, so at most ``SPEECH_AHEAD``
+    chunks are submitted and not used up.  A chunk whose turn comes before
+    the worker has started it is cancelled and formed here in one call; a
+    block of the chunk the worker is inside, not yet finished, is formed
+    here on its own.  So the caller never waits for a worker that a busy
+    core holds up, and only the chunk the worker is inside can be formed
+    twice.  The values, and the errors under the caller's ``np.errstate``,
+    are the same either way, since ``speech_terms`` is elementwise: a
+    chunk's error is raised when a block is taken from it, or by forming
+    the chunk or block here.  The chunks still queued when the caller stops
+    early are cancelled by ``pool``'s shutdown.
     """
     chunk = CHUNK_BLOCKS * block
+    ahead = SPEECH_AHEAD * chunk
 
     def submit(first):
-        return pool.submit(contextvars.copy_context().run, speech_terms,
-                           zs[first:first + chunk], mog)
+        return first, pool.submit(contextvars.copy_context().run, speech_terms,
+                                  zs[first:first + chunk], mog)
 
-    ahead = submit(0)
-    for first in range(0, len(zs), chunk):
-        done = ahead
-        if first + chunk < len(zs):
-            ahead = submit(first + chunk)
-        for start in range(first, min(first + chunk, len(zs)), block):
-            if done.done():
-                at = slice(start - first, start - first + block)
-                yield start, tuple(a[at] for a in done.result())
-            else:
-                yield start, speech_terms(zs[start:start + block], mog)
+    queue = deque(submit(first) for first in range(0, min(ahead, len(zs)), chunk))
+
+    def blocks():
+        while queue:
+            first, future = queue.popleft()
+            terms = speech_terms(zs[first:first + chunk], mog) if future.cancel() else None
+            for start in range(first, min(first + chunk, len(zs)), block):
+                at = slice(start, start + block)
+                if terms is None and future.done():
+                    terms = future.result()
+                if terms is None:
+                    yield at, speech_terms(zs[at], mog)
+                else:
+                    yield at, tuple(a[start - first:start - first + block] for a in terms)
+            if first + ahead < len(zs):
+                queue.append(submit(first + ahead))
+
+    return blocks()
 
 
 def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, mog: PhonemeMog,
-               cfg: EnhancerConfig) -> tuple[np.ndarray, np.ndarray | None, NoiseModel, tuple]:
+               cfg: EnhancerConfig,
+               speech: Iterator) -> tuple[np.ndarray, np.ndarray | None, NoiseModel, tuple]:
     """The frames in time order: SPP, MMSE estimate and noise update.
 
-    Returns every frame's SPP, the MMSE estimate (None for soft
-    subtraction), the last noise model and the (N, B) counts of undecidable
-    bins and of tail fallbacks.  Generative posteriors are written into
-    ``posteriors``.
+    ``speech`` gives the frames' speech side a block at a time, as
+    :func:`_speech_ahead` does.  Returns every frame's SPP, the MMSE
+    estimate (None for soft subtraction), the last noise model and the
+    (N, B) counts of undecidable bins and of tail fallbacks.  Generative
+    posteriors are written into ``posteriors``.
     """
     generative = cfg.posterior_source == "generative"
     mmse = cfg.estimator == "mixmax-mmse"
@@ -321,8 +372,6 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, 
     undecidable = np.zeros(logspecs.shape[:2], np.int64)
     tail = np.zeros(logspecs.shape[:2], np.int64)
 
-    # adapt's checks, once per utterance (the SPP's after the recursion)
-    check_observations(logspecs)
     dominance = None
     if adapting:
         spare = NoiseModel(mu=noise.mu.copy(), sigma=noise.sigma.copy())
@@ -330,27 +379,24 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, 
         per_component = noise.mu.shape[:-2] + (mog.n_components, noise.n_bins)
         noise_side = [np.empty_like(noise.mu) for _ in range(4)]
         dominance = (noise_side, np.empty(per_component), np.empty(per_component))
-    block = max(1, SPEECH_BLOCK // logspecs.shape[1])
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for first, (f, big_f) in _speech_ahead(pool, logspecs[:, :, 0], mog, block):
-            at = slice(first, first + block)
-            zs, ps, spps, counts = logspecs[at], posteriors[at], spp[at], undecidable[at]
+    for at, (f, big_f) in speech:
+        zs, ps, spps, counts = logspecs[at], posteriors[at], spp[at], undecidable[at]
+        if mmse:
+            below = conditional_mean_below(zs[:, :, 0], (f, big_f), mog, tail[at])
+            xhats = xhat[at]
+        # A step is one frame when the noise adapts, since the next frame
+        # reads the updated model, and the whole block when alpha = 0 holds
+        # it fixed.
+        for i in range(len(zs)) if adapting else (slice(None),):
+            z, s = zs[i], spps[i]
+            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, counts[i], out=dominance)
+            if generative:
+                ps[i, :, 0] = generative_posterior(h, mog)
+            weighted_spp(ps[i], rho, out=s)
             if mmse:
-                below = conditional_mean_below(zs[:, :, 0], (f, big_f), mog, tail[at])
-                xhats = xhat[at]
-            # A step is one frame when the noise adapts, since the next frame
-            # reads the updated model, and the whole block when alpha = 0
-            # holds it fixed.
-            for i in range(len(zs)) if adapting else (slice(None),):
-                z, s = zs[i], spps[i]
-                rho, h = speech_dominance(z, (f[i], big_f[i]), noise, counts[i], out=dominance)
-                if generative:
-                    ps[i, :, 0] = generative_posterior(h, mog)
-                weighted_spp(ps[i], rho, out=s)
-                if mmse:
-                    weighted_mmse(z, ps[i], rho, below[i], out=xhats[i])
-                if adapting:
-                    noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate)), noise
+                weighted_mmse(z, ps[i], rho, below[i], out=xhats[i])
+            if adapting:
+                noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate)), noise
     check_spp(spp)
     if generative:
         check_posteriors(posteriors)
@@ -389,10 +435,19 @@ def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None,
     Each whole-utterance array is dropped once used, so the temporaries of
     reconstruction and overlap-add do not stack on top of it.  The ``del``s
     free the arrays because nothing else refers to them: the recursion's
-    per-block views of them go when :func:`_recursion` returns.
+    per-block views of them go when :func:`_recursion` returns, and the
+    speech side's when its blocks run out.
+
+    The one worker thread of the speech side lives for the first two
+    stages.  Whichever way they end, the chunks it has not started are
+    cancelled, and it is joined once it has finished the one it is inside.
     """
-    logspecs, posteriors, frames, noise = _precompute(waves, mog, net, cfg)
-    spp, xhat, noise, counts = _recursion(logspecs, posteriors, noise, mog, cfg)
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        logspecs, posteriors, frames, noise, speech = _precompute(pool, waves, mog, net, cfg)
+        spp, xhat, noise, counts = _recursion(logspecs, posteriors, noise, mog, cfg, speech)
+    finally:
+        pool.shutdown(cancel_futures=True)
     frame_mean_spp = spp.mean(axis=-1)
     if xhat is None:
         xhat = soft_subtract(logspecs, spp, cfg.beta)

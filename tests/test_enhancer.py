@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -434,9 +435,11 @@ class TestHoisting:
         mog, _, clean, _ = setup
         waves = noisy_rows(clean, [(1, 0.0, False, False), (2, 5.0, True, True),
                                    (3, 10.0, False, True)])
-        logspecs, posteriors, _, noise = enhancer._precompute(waves, mog, None, REFERENCE)
-        *_, (undecidable, tail) = enhancer._recursion(logspecs, posteriors, noise, mog,
-                                                      REFERENCE)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            logspecs, posteriors, _, noise, speech = enhancer._precompute(pool, waves, mog, None,
+                                                                          REFERENCE)
+            *_, (undecidable, tail) = enhancer._recursion(logspecs, posteriors, noise, mog,
+                                                          REFERENCE, speech)
         assert undecidable.shape == tail.shape == logspecs.shape[:2]
 
         want_undecidable, want_tail = np.zeros_like(undecidable), np.zeros_like(tail)
@@ -578,9 +581,11 @@ class TestBatching:
         bad.w2[0, 0] = np.nan
         frames = []
         monkeypatch.setattr(enhancer, "speech_dominance", lambda *args: frames.append(args))
+        baseline = threading.active_count()
         with pytest.raises(ValueError, match="probability"):
             enhance_utterance(noisy, mog, bad, EnhancerConfig())
         assert frames == []
+        assert threading.active_count() == baseline  # the worker is joined
 
     def test_rows_must_match(self, setup):
         """An empty batch, and rows of another length or sample rate, are
@@ -658,7 +663,11 @@ class TestSpeechSideWorker:
 
         def recursion(frames):
             posteriors = np.full((frames, 1, 1, mog.n_components), 1 / mog.n_components)
-            return enhancer._recursion(logspecs[:frames], posteriors, noise, mog, cfg)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                speech = enhancer._speech_ahead(pool, logspecs[:frames, :, 0], mog,
+                                                enhancer.SPEECH_BLOCK)
+                return enhancer._recursion(logspecs[:frames], posteriors, noise, mog, cfg,
+                                           speech)
 
         with np.errstate(under="raise"):
             recursion(chunk)  # the first chunk alone underflows nowhere
@@ -684,27 +693,101 @@ class TestSpeechSideWorker:
     def test_blocks_formed_here_when_the_worker_lags(self, setup, monkeypatch):
         """A worker that a busy core holds up does not hold up the
         recursion: blocks whose chunk is not ready are formed on the
-        calling thread, with the same values."""
+        calling thread, with the same values.  A chunk the worker has not
+        started is cancelled and formed there in one call, so no chunk but
+        the one the worker is inside is formed twice."""
         mog, net, _, noisy = setup
         w = with_silence_gap(noisy)
         cfgs = [EnhancerConfig(), REFERENCE]
         expected = [enhance_utterance(w, mog, net, cfg) for cfg in cfgs]
+        chunk = enhancer.CHUNK_BLOCKS * enhancer.SPEECH_BLOCK
 
-        caller, here = threading.current_thread(), []
+        caller, here, there = threading.current_thread(), [], []
 
         def slow_on_the_worker(zs, mog):
             if threading.current_thread() is caller:
                 here.append(len(zs))
             else:
+                there.append(len(zs))
                 time.sleep(0.2)
             return speech_terms(zs, mog)
 
         monkeypatch.setattr(enhancer, "speech_terms", slow_on_the_worker)
         for cfg, want in zip(cfgs, expected, strict=True):
             here.clear()
+            there.clear()
             got = enhance_utterance(w, mog, net, cfg)
             assert_same_row(got, want)
-            assert len(here) > enhancer.CHUNK_BLOCKS  # blocks of more than one chunk
+            n = got[1].frames_processed
+            assert sum(here) > chunk  # frames of more than one chunk
+            assert chunk in here  # a cancelled chunk, in one call
+            assert sum(here) + sum(there) <= n + chunk
+
+    def test_lookahead_starts_early_and_is_bounded(self, setup, monkeypatch):
+        """The worker starts on the speech side before the classifier's
+        forward pass, and runs at most SPEECH_AHEAD chunks ahead: with the
+        forward pass stalled, and then the first step, it has formed
+        exactly SPEECH_AHEAD chunks, though the utterance has more."""
+        mog, net, _, noisy = setup
+        chunk = enhancer.CHUNK_BLOCKS * enhancer.SPEECH_BLOCK
+        hop = EnhancerConfig().frame_length // 4
+        copies = 2 + (enhancer.SPEECH_AHEAD + 1) * chunk * hop // len(noisy)
+        w = Waveform(samples=np.tile(noisy.samples, copies), sample_rate=noisy.sample_rate)
+
+        caller, there, seen = threading.current_thread(), [], []
+
+        def on_the_worker(zs, mog):
+            if threading.current_thread() is not caller:
+                there.append(len(zs))
+            return speech_terms(zs, mog)
+
+        def stalled(fn):
+            def wait_then_call(*args, **kwargs):
+                if len(seen) < 2:
+                    time.sleep(0.3)
+                    seen.append(list(there))
+                return fn(*args, **kwargs)
+            return wait_then_call
+
+        monkeypatch.setattr(enhancer, "speech_terms", on_the_worker)
+        monkeypatch.setattr(enhancer, "forward", stalled(enhancer.forward))
+        monkeypatch.setattr(enhancer, "weighted_spp", stalled(enhancer.weighted_spp))
+        n = enhance_utterance(w, mog, net, EnhancerConfig())[1].frames_processed
+        assert n > (enhancer.SPEECH_AHEAD + 1) * chunk
+        assert seen == [[chunk] * enhancer.SPEECH_AHEAD] * 2
+
+    @pytest.mark.parametrize("fault", ["nan-posterior", "class-count"])
+    def test_queued_chunks_cancelled_on_an_early_error(self, setup, monkeypatch, fault):
+        """A NaN posterior, or a classifier whose class count is not the
+        mixture's, stops the call after the worker has started: the chunks
+        it has not started are cancelled, so it forms at most the one it is
+        inside, and it is joined before the error reaches the caller."""
+        mog, net, _, noisy = setup
+        hop = EnhancerConfig().frame_length // 4
+        # chunks queued behind the worker's first, to be cancelled
+        assert len(noisy) // hop > 2 * enhancer.CHUNK_BLOCKS * enhancer.SPEECH_BLOCK
+        if fault == "nan-posterior":
+            bad = NnClassifier(w1=net.w1.copy(), w2=net.w2.copy())
+            bad.w2[0, 0] = np.nan
+            message = "probability"
+        else:
+            bad = init_classifier(net.n_inputs, mog.n_components + 1, n_hidden=4, seed=0)
+            message = "class count"
+        caller, there = threading.current_thread(), []
+
+        def first_chunk_slow(zs, mog):
+            if threading.current_thread() is not caller:
+                there.append(len(zs))
+                if len(there) == 1:
+                    time.sleep(0.5)
+            return speech_terms(zs, mog)
+
+        monkeypatch.setattr(enhancer, "speech_terms", first_chunk_slow)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError, match=message):
+            enhance_utterance(noisy, mog, bad, EnhancerConfig())
+        assert threading.active_count() == baseline
+        assert len(there) <= 1
 
     def test_worker_joined_on_return_and_on_error(self, setup, monkeypatch):
         """No thread outlives a call, nor a call that fails at frame 100,
@@ -839,9 +922,12 @@ class TestInputChecks:
         monkeypatch.setattr(enhancer, "log_spectra", with_nan)
         frames = []
         monkeypatch.setattr(enhancer, "speech_dominance", lambda *a, **k: frames.append(a))
+        # on neither thread: the worker gets no frame before the check
+        calls = count_calls(monkeypatch, ("speech_terms",))
         with pytest.raises(ValueError, match="observation must be finite"):
             enhance_utterance(noisy, mog, net, EnhancerConfig())
         assert frames == []
+        assert calls == {}
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan], ids=["above", "below", "nan"])
     def test_spp_outside_unit_interval_rejected(self, setup, monkeypatch, bad):
