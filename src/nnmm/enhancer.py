@@ -25,32 +25,31 @@ results are the per-frame ones bit for bit, with a Python call per block
 instead of per frame.
 
 f and F read only the observation and the mixture, so one worker thread
-forms them, :func:`speech_terms` over a chunk of ``CHUNK_BLOCKS`` blocks
-(about 64 frame-rows) at a time, ahead of the frames the main thread steps
-through.  The worker starts as soon as its input exists: once the
-log-spectra are checked, :func:`_precompute` submits the first
-``SPEECH_AHEAD`` chunks, and only then forms the features and runs the
-classifier, so the worker runs through the forward pass instead of waiting
-for the recursion.  Each chunk the recursion has used up submits the next,
-so at most ``SPEECH_AHEAD`` chunks are submitted and not used up; eight
-chunks of 64 frame-rows hold about 10.5 MB of f and F.  The main thread
-never waits for the worker.  A chunk whose turn comes before the worker has
-started it is cancelled and formed on the main thread in one call; a block
-of the chunk the worker is inside, not yet finished, is formed on the main
-thread on its own, as the serial recursion forms it.  So a worker held up
-by a busy core never holds up the recursion, and only the chunk the worker
-is inside can be formed twice.  Only that stage moves: it is elementwise,
-so neither chunking nor the thread that forms a block changes a value, and
-everything else, the truncated means included, stays on the main thread
-in its blocks.  The chunks must be large.  Every ufunc call on the worker
-releases the GIL and must take it back from the main thread, which holds
-it between its many small per-frame calls; a worker task per block made so
-many calls that the handoffs ate most of the overlap in the default mode,
-while a chunk is a few large calls.  The worker runs in the caller's
-``contextvars`` context, so an ``np.errstate`` around the call applies
-there too.  :func:`_run` owns it: however the call ends, the chunks the
-worker has not started are cancelled, and it is joined once it has
-finished the one it is inside, before :func:`_run` returns or raises.
+forms them, :func:`speech_terms` of one block (``SPEECH_BLOCK`` = 64
+frame-rows) per task, ahead of the frames the main thread steps through.
+The block is the one unit of speech-side work: the worker forms it, the
+truncated means are formed over it, and at ``alpha = 0`` one step takes it.
+The worker starts as soon as its input exists: once the log-spectra are
+checked, :func:`_precompute` submits the first ``SPEECH_AHEAD`` blocks, and
+only then forms the features and runs the classifier, so the worker runs
+through the forward pass instead of waiting for the recursion.  Each block
+the recursion takes submits the next, so at most ``SPEECH_AHEAD`` blocks
+are submitted and not used up; eight blocks of 64 frame-rows hold about
+10.5 MB of f and F.  The main thread never waits for the worker: a block
+the worker has not finished is formed on the main thread, which first
+cancels it, so only the block the worker is inside can be formed twice,
+and a worker held up by a busy core never holds up the recursion.  Only
+that stage moves: it is elementwise, so the thread that forms a block
+changes no value, and everything else, the truncated means included, stays
+on the main thread.  The blocks must be large.  Every ufunc call on the
+worker releases the GIL and must take it back from the main thread, which
+holds it between its many small per-frame calls, so a task of a few large
+calls overlaps the recursion where many small ones would spend the overlap
+on handoffs.  The worker runs in the caller's ``contextvars`` context, so
+an ``np.errstate`` around the call applies there too.  :func:`_run` owns
+it: however the call ends, the blocks the worker has not started are
+cancelled, and it is joined once it has finished the one it is inside,
+before :func:`_run` returns or raises.
 
 The adaptive step runs once per frame, so it checks nothing and keeps one
 workspace.  Each call of :func:`_recursion` makes, once,
@@ -139,33 +138,26 @@ POSTERIOR_SOURCES = ("nn", "generative")
 # holds the prefix noise model for the whole utterance.
 REFERENCE_MODE = {"alpha": 0.0, "estimator": "mixmax-mmse", "posterior_source": "generative"}
 
-# Frame-rows whose truncated means are formed together, and, with the noise
-# fixed, that one recursion step takes: a block is SPEECH_BLOCK // B frames
-# of all B rows.  Each block holds a few (frames, B, m, K) arrays, so memory
-# grows with neither the utterance nor the batch; 16 frame-rows amortize
-# most of the per-call overhead.
-SPEECH_BLOCK = 16
+# Frame-rows in the one unit of speech-side work: the worker thread forms a
+# block's f and F in one task, the truncated means are formed a block at a
+# time, and, with the noise fixed, one recursion step takes a block.  A block
+# is SPEECH_BLOCK // B frames of all B rows, so memory grows with neither
+# the utterance nor the batch.  The worker's tasks must be large: each of its
+# ufunc calls takes the GIL back from the main thread's many small per-frame
+# calls.  With the main thread waiting for each task, a paired in-process
+# timing on a 2-vCPU VM, one BLAS thread, ran a 12 s default-mode utterance
+# at 0.95 of the serial recursion's time with tasks of 16 frame-rows and at
+# 0.79 with tasks of 64.
+SPEECH_BLOCK = 64
 
-# Blocks whose speech-side terms the worker thread forms in one task, ahead
-# of the frames the main thread steps through.  Paired in-process timings on
-# a 2-vCPU VM, one BLAS thread, with the worker started by the recursion one
-# chunk ahead and the main thread waiting for each chunk, as ratios to the
-# serial recursion, for chunks of 1, 2, 4, 8 and 16 blocks: a 12 s
-# default-mode utterance 0.95, 0.86, 0.79, 0.81, 0.80; a 5 s reference-mode
-# one 0.77, 0.69, 0.69, 0.72, 0.82; six batched 1.75 s rows 0.86, 0.81,
-# 0.78, 0.78, 0.83.  Small chunks are many small ufunc calls, each handing
-# the GIL to and from the main thread's per-frame calls; large ones no
-# longer fit the cache.
-CHUNK_BLOCKS = 4
-
-# Most chunks submitted to the worker and not yet used up by the recursion.
+# Most blocks submitted to the worker and not yet used up by the recursion.
 # The worker starts before the classifier's forward pass and gets ahead by
-# as many chunks as that pass gives it time for, up to this bound.  Paired
+# as many blocks as that pass gives it time for, up to this bound.  Paired
 # in-process timings on a 2-vCPU VM, one BLAS thread, 40 alternating runs
-# per value, as ratios to 8 chunks, for 4 and 12: a 12 s default-mode
+# per value, as ratios to 8 blocks, for 4 and 12: a 12 s default-mode
 # utterance 1.07-1.10 and 1.00; a 5 s reference-mode one, which has no
 # forward pass, 1.01 and 1.00; six batched 1.75 s rows 1.07 and 0.94.
-# Eight chunks of 64 frame-rows (m = 5, K = 257) hold about 10.5 MB of f and
+# Eight blocks of 64 frame-rows (m = 5, K = 257) hold about 10.5 MB of f and
 # F; twelve hold half as much again for a gain on batches alone.
 SPEECH_AHEAD = 8
 
@@ -196,12 +188,12 @@ class EnhancerConfig:
 
     def __post_init__(self):
         check_frame_length(self.frame_length)
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and >= 0")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must be in [0, 1)")
-        if self.noise_prefix <= 0:
-            raise ValueError("noise_prefix must be positive")
+        if not 0.0 < self.noise_prefix < np.inf:
+            raise ValueError("noise_prefix must be finite and positive")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
         if self.posterior_source not in POSTERIOR_SOURCES:
@@ -311,44 +303,36 @@ def _speech_ahead(pool: ThreadPoolExecutor, zs: np.ndarray, mog: PhonemeMog,
     """:func:`speech_terms` of the frames ``zs``, as ``(frames, (f, F))`` per
     block of ``block`` frames, where ``frames`` is the block's slice.
 
-    ``pool``'s worker forms ``CHUNK_BLOCKS`` blocks at a time, in the
-    caller's context, so its ``np.errstate`` applies there too.  This call
-    submits the first ``SPEECH_AHEAD`` chunks, and each chunk the caller
-    has taken every block of submits the next, so at most ``SPEECH_AHEAD``
-    chunks are submitted and not used up.  A chunk whose turn comes before
-    the worker has started it is cancelled and formed here in one call; a
-    block of the chunk the worker is inside, not yet finished, is formed
-    here on its own.  So the caller never waits for a worker that a busy
-    core holds up, and only the chunk the worker is inside can be formed
-    twice.  The values, and the errors under the caller's ``np.errstate``,
-    are the same either way, since ``speech_terms`` is elementwise: a
-    chunk's error is raised when a block is taken from it, or by forming
-    the chunk or block here.  The chunks still queued when the caller stops
-    early are cancelled by ``pool``'s shutdown.
+    ``pool``'s worker forms one block per task, in the caller's context, so
+    its ``np.errstate`` applies there too.  This call submits the first
+    ``SPEECH_AHEAD`` blocks, and each block the caller takes submits the
+    next, so at most ``SPEECH_AHEAD`` blocks are submitted and not used up.
+    A block the worker has not finished when its turn comes is cancelled, if
+    the worker has not started it, and formed here.  So the caller never
+    waits for a worker that a busy core holds up, and only the block the
+    worker is inside can be formed twice.  The values, and the errors under
+    the caller's ``np.errstate``, are the same either way, since
+    ``speech_terms`` is elementwise: the worker's error is raised when its
+    block is taken.  The blocks still queued when the caller stops early
+    are cancelled by ``pool``'s shutdown.
     """
-    chunk = CHUNK_BLOCKS * block
-    ahead = SPEECH_AHEAD * chunk
+    ahead = SPEECH_AHEAD * block
 
     def submit(first):
-        return first, pool.submit(contextvars.copy_context().run, speech_terms,
-                                  zs[first:first + chunk], mog)
+        at = slice(first, first + block)
+        return at, pool.submit(contextvars.copy_context().run, speech_terms, zs[at], mog)
 
-    queue = deque(submit(first) for first in range(0, min(ahead, len(zs)), chunk))
+    queue = deque(submit(first) for first in range(0, min(ahead, len(zs)), block))
 
     def blocks():
         while queue:
-            first, future = queue.popleft()
-            terms = speech_terms(zs[first:first + chunk], mog) if future.cancel() else None
-            for start in range(first, min(first + chunk, len(zs)), block):
-                at = slice(start, start + block)
-                if terms is None and future.done():
-                    terms = future.result()
-                if terms is None:
-                    yield at, speech_terms(zs[at], mog)
-                else:
-                    yield at, tuple(a[start - first:start - first + block] for a in terms)
-            if first + ahead < len(zs):
-                queue.append(submit(first + ahead))
+            at, future = queue.popleft()
+            if future.cancel() or not future.done():
+                yield at, speech_terms(zs[at], mog)
+            else:
+                yield at, future.result()
+            if at.start + ahead < len(zs):
+                queue.append(submit(at.start + ahead))
 
     return blocks()
 
@@ -439,7 +423,7 @@ def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None,
     speech side's when its blocks run out.
 
     The one worker thread of the speech side lives for the first two
-    stages.  Whichever way they end, the chunks it has not started are
+    stages.  Whichever way they end, the blocks it has not started are
     cancelled, and it is joined once it has finished the one it is inside.
     """
     pool = ThreadPoolExecutor(max_workers=1)

@@ -432,7 +432,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bundle_state", ["valid", "missing"])
     @pytest.mark.parametrize("flag,value", [("--alpha", "2"), ("--beta", "-1"),
-                                            ("--noise-prefix", "0")])
+                                            ("--noise-prefix", "0"), ("--beta", "nan"),
+                                            ("--noise-prefix", "inf"),
+                                            ("--noise-prefix", "nan")])
     @pytest.mark.parametrize("command", ["enhance", "evaluate"])
     def test_bad_enhancer_setting_is_checked_first(self, workspace, tmp_path, capsys,
                                                    command, flag, value, bundle_state):

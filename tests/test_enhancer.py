@@ -164,6 +164,17 @@ class TestContracts:
             with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\)"):
                 EnhancerConfig(alpha=bad)
 
+    def test_beta_and_noise_prefix_range(self):
+        """beta lies in [0, inf) and noise_prefix in (0, inf): NaN and
+        infinity are refused as the values out of range are."""
+        assert EnhancerConfig(beta=0.0).beta == 0.0
+        for field, bads, message in [
+                ("beta", (-1.0, np.nan, np.inf), "beta must be finite and >= 0"),
+                ("noise_prefix", (0.0, np.nan, np.inf), "noise_prefix must be finite and positive")]:
+            for bad in bads:
+                with pytest.raises(ValueError, match=message):
+                    EnhancerConfig(**{field: bad})
+
     def test_too_short_utterance_rejected(self, setup):
         mog, net, _, _ = setup
         stub = Waveform(samples=np.random.default_rng(0).standard_normal(700),
@@ -397,7 +408,7 @@ class TestHoisting:
     def test_reference_mode_matches_frame_loop(self, setup, inputs):
         """The reference mode takes a block of frames per step; its whole
         report equals the per-frame loop's, and its final noise is the
-        prefix model.  Three rows make blocks of 5 frames, and the silence
+        prefix model.  Three rows make blocks of 21 frames, and the silence
         gap of two of them spans a block boundary."""
         mog, _, clean, noisy = setup
         if inputs == "three-rows":
@@ -405,7 +416,7 @@ class TestHoisting:
                                        (3, 10.0, False, True)])
             pad, hop, block = edge_padding(512), 512 // 4, enhancer.SPEECH_BLOCK // 3
             first, last = -(-(GAP[0] + pad) // hop), (GAP[1] + pad - 512) // hop
-            assert block == 5 and first // block < last // block  # whole silent frames
+            assert block == 21 and first // block < last // block  # whole silent frames
         else:
             waves = [named_input(inputs, clean, noisy)]
 
@@ -618,8 +629,8 @@ def per_frame_forward(monkeypatch):
 
 
 class TestSpeechSideWorker:
-    """One worker thread forms f and F a chunk of CHUNK_BLOCKS blocks ahead
-    of the frames the recursion steps through."""
+    """One worker thread forms f and F a block at a time, ahead of the
+    frames the recursion steps through."""
 
     @pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
     @pytest.mark.parametrize("estimator,posterior_source,alpha", WORKER_MODES,
@@ -627,36 +638,35 @@ class TestSpeechSideWorker:
     def test_matches_frame_loop_across_chunks(self, setup, monkeypatch, rows,
                                               estimator, posterior_source, alpha):
         """Every mode and the reference mode, one row and a batch of three,
-        equal the frame loop bit for bit over four chunks, the last of them
-        short and ending in a short block."""
+        equal the frame loop bit for bit over four blocks or more, the last
+        of them short."""
         mog, net, clean, noisy = setup
         waves = [with_silence_gap(noisy)] if rows == 1 else noisy_rows(
             clean, [(1, 0.0, False, False), (2, 5.0, True, True), (3, 10.0, False, True)])
         block = enhancer.SPEECH_BLOCK // rows
-        chunk = enhancer.CHUNK_BLOCKS * block
         per_frame_forward(monkeypatch)
         cfg = EnhancerConfig(alpha=alpha, estimator=estimator, posterior_source=posterior_source)
         got = enhance_batch(waves, mog, net, cfg)
         n = got[0][1].frames_processed
-        assert n > 3 * chunk and n % block  # a short last block, so a short last chunk
+        assert n > 3 * block and n % block  # a short last block
         for pair, w in zip(got, waves, strict=True):
             expected, ref = enhance_by_frame(w, mog, net, cfg)
             assert_same_row(pair, (Waveform(samples=expected, sample_rate=w.sample_rate), ref))
 
     def test_worker_runs_under_callers_errstate(self, setup, monkeypatch):
-        """The second chunk's frames sit 60 standard deviations above every
+        """The second block's frames sit 60 standard deviations above every
         component, so the speech side's exp underflows there and nowhere
         else.  The first step stalls until the worker has formed that
-        chunk, so the recursion takes the worker's result.  Under the
+        block, so the recursion takes the worker's result.  Under the
         caller's ``np.errstate(under="raise")`` the worker raises, as the
         serial code does, and the error reaches the caller; without it the
         call runs."""
         mog = setup[0]
-        chunk = enhancer.CHUNK_BLOCKS * enhancer.SPEECH_BLOCK
+        block = enhancer.SPEECH_BLOCK
         near = mog.means.mean(axis=0)
         far = mog.means.max(axis=0) + 60 * mog.stds.max(axis=0)
-        logspecs = np.concatenate([np.broadcast_to(near, (chunk, 1, 1, mog.n_bins)),
-                                   np.broadcast_to(far, (chunk, 1, 1, mog.n_bins))])
+        logspecs = np.concatenate([np.broadcast_to(near, (block, 1, 1, mog.n_bins)),
+                                   np.broadcast_to(far, (block, 1, 1, mog.n_bins))])
         # wide enough that the noise side stays near its mode at every frame
         noise = NoiseModel(mu=logspecs[0].copy(), sigma=np.full((1, 1, mog.n_bins), 1e3))
         cfg = EnhancerConfig(alpha=0.0)
@@ -664,16 +674,15 @@ class TestSpeechSideWorker:
         def recursion(frames):
             posteriors = np.full((frames, 1, 1, mog.n_components), 1 / mog.n_components)
             with ThreadPoolExecutor(max_workers=1) as pool:
-                speech = enhancer._speech_ahead(pool, logspecs[:frames, :, 0], mog,
-                                                enhancer.SPEECH_BLOCK)
+                speech = enhancer._speech_ahead(pool, logspecs[:frames, :, 0], mog, block)
                 return enhancer._recursion(logspecs[:frames], posteriors, noise, mog, cfg,
                                            speech)
 
         with np.errstate(under="raise"):
-            recursion(chunk)  # the first chunk alone underflows nowhere
+            recursion(block)  # the first block alone underflows nowhere
             with pytest.raises(FloatingPointError):
                 speech_terms(far, mog)
-        recursion(2 * chunk)
+        recursion(2 * block)
 
         spp, steps = enhancer.weighted_spp, []
 
@@ -686,21 +695,22 @@ class TestSpeechSideWorker:
         monkeypatch.setattr(enhancer, "weighted_spp", first_step_waits)
         baseline = threading.active_count()
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-            recursion(2 * chunk)
-        assert len(steps) == enhancer.CHUNK_BLOCKS  # raised as the second chunk was taken
+            recursion(2 * block)
+        assert len(steps) == 1  # raised as the second block was taken
         assert threading.active_count() == baseline
 
     def test_blocks_formed_here_when_the_worker_lags(self, setup, monkeypatch):
         """A worker that a busy core holds up does not hold up the
-        recursion: blocks whose chunk is not ready are formed on the
-        calling thread, with the same values.  A chunk the worker has not
-        started is cancelled and formed there in one call, so no chunk but
-        the one the worker is inside is formed twice."""
+        recursion: blocks the worker has not finished are formed on the
+        calling thread, with the same values.  A block the worker has not
+        started is cancelled first, so no block but the one the worker is
+        inside is formed twice.  Each call, on either thread, forms one
+        block, or the short last one."""
         mog, net, _, noisy = setup
         w = with_silence_gap(noisy)
         cfgs = [EnhancerConfig(), REFERENCE]
         expected = [enhance_utterance(w, mog, net, cfg) for cfg in cfgs]
-        chunk = enhancer.CHUNK_BLOCKS * enhancer.SPEECH_BLOCK
+        block = enhancer.SPEECH_BLOCK
 
         caller, here, there = threading.current_thread(), [], []
 
@@ -719,19 +729,46 @@ class TestSpeechSideWorker:
             got = enhance_utterance(w, mog, net, cfg)
             assert_same_row(got, want)
             n = got[1].frames_processed
-            assert sum(here) > chunk  # frames of more than one chunk
-            assert chunk in here  # a cancelled chunk, in one call
-            assert sum(here) + sum(there) <= n + chunk
+            assert sum(here) > block  # frames of more than one block
+            assert set(here + there) <= {block, n % block}
+            assert sum(here) + sum(there) <= n + block
+
+    def test_blocks_not_started_are_cancelled(self, setup, monkeypatch):
+        """With the worker held inside a block, the caller forms every block
+        itself.  Each block the worker has not started is cancelled as the
+        caller takes it, so once released the worker forms none of them."""
+        mog = setup[0]
+        block = enhancer.SPEECH_BLOCK
+        frames = 3 * enhancer.SPEECH_AHEAD * block + 5
+        zs = np.repeat(mog.means.mean(axis=0)[np.newaxis, np.newaxis], frames, axis=0)
+        caller, release, there = threading.current_thread(), threading.Event(), []
+
+        def held_on_the_worker(zs, mog):
+            if threading.current_thread() is not caller:
+                there.append(len(zs))
+                release.wait(10)
+            return speech_terms(zs, mog)
+
+        monkeypatch.setattr(enhancer, "speech_terms", held_on_the_worker)
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            taken = [at for at, _ in enhancer._speech_ahead(pool, zs, mog, block)]
+        finally:
+            release.set()
+            pool.shutdown()
+        assert [(at.start, at.stop) for at in taken] == [
+            (first, first + block) for first in range(0, frames, block)]
+        assert there == [block]
 
     def test_lookahead_starts_early_and_is_bounded(self, setup, monkeypatch):
         """The worker starts on the speech side before the classifier's
-        forward pass, and runs at most SPEECH_AHEAD chunks ahead: with the
+        forward pass, and runs at most SPEECH_AHEAD blocks ahead: with the
         forward pass stalled, and then the first step, it has formed
-        exactly SPEECH_AHEAD chunks, though the utterance has more."""
+        exactly SPEECH_AHEAD blocks, though the utterance has more."""
         mog, net, _, noisy = setup
-        chunk = enhancer.CHUNK_BLOCKS * enhancer.SPEECH_BLOCK
+        block = enhancer.SPEECH_BLOCK
         hop = EnhancerConfig().frame_length // 4
-        copies = 2 + (enhancer.SPEECH_AHEAD + 1) * chunk * hop // len(noisy)
+        copies = 2 + (enhancer.SPEECH_AHEAD + 1) * block * hop // len(noisy)
         w = Waveform(samples=np.tile(noisy.samples, copies), sample_rate=noisy.sample_rate)
 
         caller, there, seen = threading.current_thread(), [], []
@@ -753,19 +790,19 @@ class TestSpeechSideWorker:
         monkeypatch.setattr(enhancer, "forward", stalled(enhancer.forward))
         monkeypatch.setattr(enhancer, "weighted_spp", stalled(enhancer.weighted_spp))
         n = enhance_utterance(w, mog, net, EnhancerConfig())[1].frames_processed
-        assert n > (enhancer.SPEECH_AHEAD + 1) * chunk
-        assert seen == [[chunk] * enhancer.SPEECH_AHEAD] * 2
+        assert n > (enhancer.SPEECH_AHEAD + 1) * block
+        assert seen == [[block] * enhancer.SPEECH_AHEAD] * 2
 
     @pytest.mark.parametrize("fault", ["nan-posterior", "class-count"])
     def test_queued_chunks_cancelled_on_an_early_error(self, setup, monkeypatch, fault):
         """A NaN posterior, or a classifier whose class count is not the
-        mixture's, stops the call after the worker has started: the chunks
+        mixture's, stops the call after the worker has started: the blocks
         it has not started are cancelled, so it forms at most the one it is
         inside, and it is joined before the error reaches the caller."""
         mog, net, _, noisy = setup
         hop = EnhancerConfig().frame_length // 4
-        # chunks queued behind the worker's first, to be cancelled
-        assert len(noisy) // hop > 2 * enhancer.CHUNK_BLOCKS * enhancer.SPEECH_BLOCK
+        # blocks queued behind the worker's first, to be cancelled
+        assert len(noisy) // hop > 2 * enhancer.SPEECH_BLOCK
         if fault == "nan-posterior":
             bad = NnClassifier(w1=net.w1.copy(), w2=net.w2.copy())
             bad.w2[0, 0] = np.nan
@@ -775,14 +812,14 @@ class TestSpeechSideWorker:
             message = "class count"
         caller, there = threading.current_thread(), []
 
-        def first_chunk_slow(zs, mog):
+        def first_block_slow(zs, mog):
             if threading.current_thread() is not caller:
                 there.append(len(zs))
                 if len(there) == 1:
                     time.sleep(0.5)
             return speech_terms(zs, mog)
 
-        monkeypatch.setattr(enhancer, "speech_terms", first_chunk_slow)
+        monkeypatch.setattr(enhancer, "speech_terms", first_block_slow)
         baseline = threading.active_count()
         with pytest.raises(ValueError, match=message):
             enhance_utterance(noisy, mog, bad, EnhancerConfig())
@@ -791,7 +828,7 @@ class TestSpeechSideWorker:
 
     def test_worker_joined_on_return_and_on_error(self, setup, monkeypatch):
         """No thread outlives a call, nor a call that fails at frame 100,
-        in the second chunk, while the worker has the third."""
+        in the second block, while the worker has the third."""
         mog, net, _, noisy = setup
         baseline = threading.active_count()
         enhance_utterance(noisy, mog, net, EnhancerConfig())
