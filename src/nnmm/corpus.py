@@ -203,14 +203,17 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
 
     Noise shorter than the clean signal is tiled; the scaling makes
     10*log10(P_clean / P_noise) equal ``snr_db`` exactly over the utterance.
+    An empty ``clean`` or ``noise`` and a non-finite ``snr_db`` are refused
+    by name.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rates differ")
-    n = len(clean)
-    nse = noise.samples
-    if len(nse) < n:
-        nse = np.tile(nse, -(-n // len(nse)))
-    nse = nse[:n]
+    for name, w in (("clean", clean), ("noise", noise)):
+        if not len(w):
+            raise ValueError(f"{name} is empty")
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
+    nse = np.resize(noise.samples, len(clean))  # tiled, then cut to length
 
     p_clean = np.mean(clean.samples**2)
     p_noise = np.mean(nse**2)

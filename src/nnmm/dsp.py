@@ -16,6 +16,7 @@ is read or written, for the same reason.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,8 +63,7 @@ class ComplexSpectrogram:
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
         object.__setattr__(self, "frames", frames)
-        if self.frame_length % 2 != 0:
-            raise ValueError("frame_length must be even")
+        check_frame_length(self.frame_length)
         if frames.ndim != 2 or frames.shape[1] != self.frame_length // 2 + 1:
             raise ValueError("frames must have frame_length/2 + 1 bins each")
 
@@ -80,8 +80,22 @@ class ComplexSpectrogram:
         return self.frames.shape[1]
 
 
+def check_unsigned(name: str, value, bits: int) -> None:
+    """Reject a ``value`` that is not an integer in [0, 2**bits), named
+    ``name`` in the error.  A numpy integer is an integer; a float, even a
+    whole one, is not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
+
+
 def check_frame_length(frame_length: int) -> None:
-    """Reject frame lengths the enhancer cannot run at: odd, or below 8."""
+    """Reject frame lengths the enhancer cannot run at, or a model bundle
+    cannot store: not an integer in [0, 2**32), odd, or below 8."""
+    check_unsigned("frame_length", frame_length, 32)
     if frame_length < 8 or frame_length % 2:
         raise ValueError("frame_length must be even and at least 8")
 

@@ -51,24 +51,22 @@ it: however the call ends, the blocks the worker has not started are
 cancelled, and it is joined once it has finished the one it is inside,
 before :func:`_run` returns or raises.
 
-The adaptive step runs once per frame, so it checks nothing and keeps one
-workspace.  Each call of :func:`_recursion` makes, once,
-:func:`speech_dominance`'s buffers for the step's (B, 1, K) frame and
-(B, m, K) components, and a spare noise model and one scratch array for
-:func:`adapt`.  The step's SPP, in either estimator, and the MMSE estimate
-are written by :func:`weighted_spp` and :func:`weighted_mmse` straight into
-the whole-utterance arrays; only the MMSE estimate's per-component terms and
-the generative posterior are formed afresh.  The workspace forms run the
-same code as the allocating ones, so the results are bit for bit the same.
-``adapt`` writes the new model into the spare one, and the model it read
-becomes the next spare.  The buffers belong to one call, so nothing
-returned shares memory with a later call.  The checks that ``adapt`` makes
-on every call of its allocating form run here once per utterance, at every
-alpha: :func:`check_observations` over all log-spectra before the
-recursion, and :func:`check_spp` over all SPPs after it, before any result
-is formed from them.  ``alpha`` is checked by :class:`EnhancerConfig`.  A
-block step at ``alpha = 0`` runs once per ``SPEECH_BLOCK`` frame-rows and
-allocates its arrays afresh.
+The adaptive step runs once per frame, so it checks nothing, and both step
+shapes make the same calls: :func:`speech_dominance` forms the step's
+``(rho, h)``, and the SPP and the MMSE estimate that :func:`weighted_spp`
+and :func:`weighted_mmse` return are assigned into the whole-utterance
+arrays.  These kernels allocate their results afresh: a few small arrays a
+call, whose allocation is a small part of each call's time.  :func:`adapt`
+alone keeps a workspace, as its allocating form builds and checks a new
+noise model on every call; each call of :func:`_recursion` makes it once, a
+spare noise model and one scratch array.  ``adapt`` writes the new model
+into the spare one, and the model it read becomes the next spare.  The
+workspace belongs to one call, so nothing returned shares memory with a
+later call.  The checks that ``adapt`` makes on every call of its
+allocating form run here once per utterance, at every alpha:
+:func:`check_observations` over all log-spectra before the recursion, and
+:func:`check_spp` over all SPPs after it, before any result is formed from
+them.  ``alpha`` is checked by :class:`EnhancerConfig`.
 
 The recursion also owns the fallback counts: two (N, B) integer arrays, the
 undecidable bins and the tail fallbacks of every frame and row, which each
@@ -356,13 +354,9 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, 
     undecidable = np.zeros(logspecs.shape[:2], np.int64)
     tail = np.zeros(logspecs.shape[:2], np.int64)
 
-    dominance = None
     if adapting:
         spare = NoiseModel(mu=noise.mu.copy(), sigma=noise.sigma.copy())
         gate = np.empty_like(noise.mu)
-        per_component = noise.mu.shape[:-2] + (mog.n_components, noise.n_bins)
-        noise_side = [np.empty_like(noise.mu) for _ in range(4)]
-        dominance = (noise_side, np.empty(per_component), np.empty(per_component))
     for at, (f, big_f) in speech:
         zs, ps, spps, counts = logspecs[at], posteriors[at], spp[at], undecidable[at]
         if mmse:
@@ -372,15 +366,15 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, 
         # reads the updated model, and the whole block when alpha = 0 holds
         # it fixed.
         for i in range(len(zs)) if adapting else (slice(None),):
-            z, s = zs[i], spps[i]
-            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, counts[i], out=dominance)
+            z = zs[i]
+            rho, h = speech_dominance(z, (f[i], big_f[i]), noise, counts[i])
             if generative:
                 ps[i, :, 0] = generative_posterior(h, mog)
-            weighted_spp(ps[i], rho, out=s)
+            spps[i] = weighted_spp(ps[i], rho)
             if mmse:
-                weighted_mmse(z, ps[i], rho, below[i], out=xhats[i])
+                xhats[i] = weighted_mmse(z, ps[i], rho, below[i])
             if adapting:
-                noise, spare = adapt(noise, z, s, cfg.alpha, out=(spare, gate)), noise
+                noise, spare = adapt(noise, z, spps[i], cfg.alpha, out=(spare, gate)), noise
     check_spp(spp)
     if generative:
         check_posteriors(posteriors)

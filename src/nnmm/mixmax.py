@@ -46,8 +46,8 @@ Each adds the fallbacks of every frame and row to its entry, in place, so a
 caller that holds an (N, B) array per fallback, as the enhancer's recursion
 does, hands in the slice of the frames it runs.  One frame's entry is the
 0-d view ``counts[t, b, ...]``: a scalar cannot be added to in place, and
-is refused.  All functions are pure, apart from those counts and the
-``out`` arrays a caller hands them; models are immutable.
+is refused.  All functions are pure, apart from those counts, and every
+array they return is fresh; models are immutable.
 """
 
 from __future__ import annotations
@@ -92,8 +92,6 @@ def speech_dominance(
     speech: tuple[np.ndarray, np.ndarray],
     noise: NoiseModel,
     counts: np.ndarray | None = None,
-    *,
-    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(speech exceeds noise | observation, component) and the max density.
 
@@ -105,33 +103,27 @@ def speech_dominance(
     way; their ``rho`` comes back as 0.5, and each frame's count of them is
     added to its entry of ``counts``.
 
-    One ``h.min()`` test picks the path.  When no bin underflows, ``rho`` is
-    ``f G / h`` with no further check: ``f G <= h`` and both are
-    non-negative, so it already lies in [0, 1].  Only a frame (or block)
-    with an underflowing bin builds the mask, counts its bins and clips;
-    clipping leaves the other bins' ``f G / h`` as they are, so a block
-    rounds as its frames do one at a time.
+    ``rho`` is ``f G / h`` with no clipping: ``f G <= h`` holds after
+    rounding too, and both are non-negative, so it lies in [0, 1].  One
+    ``h.min()`` test picks the path.  Only a frame (or block) with an
+    underflowing bin builds the mask, counts its bins and sets them to 0.5;
+    the other bins keep ``f G / h``, so a block rounds as its frames do one
+    at a time.
 
-    Without ``out`` every array is fresh.  ``out`` is a workspace
-    ``(noise_side, numer, h)``: ``noise_side`` is the workspace of
-    :func:`gaussian_pdf_cdf` for ``z`` against the noise model, and ``numer``
-    and ``h`` are float64 arrays of the result's shape.  ``h`` and, unless a
-    bin underflows, ``rho`` are then returned in ``h`` and ``numer``, and
-    nothing is allocated.
+    ``h`` and ``rho`` are formed in place on two fresh arrays, in the order
+    of ``F g + f G`` and ``f G / h``, so they round as those expressions do.
     """
     f, big_f = speech
-    noise_side, numer, h = (None, None, None) if out is None else out
-    g, big_g = gaussian_pdf_cdf(np.asarray(z, np.float64), noise.mu, noise.sigma, out=noise_side)
-    numer = np.multiply(f, big_g, numer)
-    h = np.multiply(big_f, g, h)
-    np.add(h, numer, h)
+    g, big_g = gaussian_pdf_cdf(z, noise.mu, noise.sigma)
+    numer = np.multiply(f, big_g)
+    h = np.multiply(big_f, g)
+    h += numer
     if h.min() < DENSITY_FLOOR:
         undecidable = h < DENSITY_FLOOR
         if counts is not None:
             np.add(counts, np.count_nonzero(undecidable, axis=(-2, -1)), out=counts)
-        rho = np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h))
-        return np.clip(rho, 0.0, 1.0), h
-    np.divide(numer, h, numer)
+        return np.where(undecidable, 0.5, numer / np.where(undecidable, 1.0, h)), h
+    numer /= h
     return numer, h
 
 
@@ -210,7 +202,7 @@ def check_posteriors(p: np.ndarray) -> None:
         raise ValueError("posterior must be a probability vector")
 
 
-def weighted_spp(posterior: np.ndarray, rho: np.ndarray, *, out=None) -> np.ndarray:
+def weighted_spp(posterior: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Speech presence probability per bin: sum_i p_i rho_ik.
 
     Mixes the per-component dominance ``rho`` from :func:`speech_dominance`
@@ -223,10 +215,8 @@ def weighted_spp(posterior: np.ndarray, rho: np.ndarray, *, out=None) -> np.ndar
     Shapes (m,) and (m, K) give (K,); a batch (B, 1, m) and (B, m, K)
     gives (B, 1, K), and a block (T, B, 1, m) and (T, B, m, K) gives
     (T, B, 1, K), one ``matmul``, which rounds as the single frame does.
-    With ``out``, a float64 array of the result's shape, the SPP is written
-    there.
     """
-    spp = np.matmul(posterior, rho, out)
+    spp = np.matmul(posterior, rho)
     return np.minimum(spp, 1.0, out=spp)
 
 
@@ -235,8 +225,6 @@ def weighted_mmse(
     posterior: np.ndarray,
     rho: np.ndarray,
     below: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Posterior-weighted MMSE estimate of the clean log-spectrum.
 
@@ -249,13 +237,14 @@ def weighted_mmse(
     which gives the SPP of the same posterior and ``rho``.  Shapes as in
     :func:`weighted_spp`, with ``z`` (K,), (B, 1, K) or (T, B, 1, K).
 
-    With ``out``, a float64 array of the result's shape, the estimate is
-    written there."""
+    The per-component terms are formed in place, in the order of
+    ``rho z + (1 - rho) below``, so they round as that expression does.
+    """
     per_component = np.multiply(rho, z)
     rest = np.subtract(1.0, rho)
-    np.multiply(rest, below, rest)
-    np.add(per_component, rest, per_component)
-    return np.matmul(posterior, per_component, out)
+    rest *= below
+    per_component += rest
+    return np.matmul(posterior, per_component)
 
 
 def soft_subtract(z: np.ndarray, spp: np.ndarray, beta: float) -> np.ndarray:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import check_frame_length
+from .dsp import check_frame_length, check_unsigned
 from .errors import BundleFormatError
 from .mog import PhonemeMog
 from .nn import NnClassifier
@@ -44,9 +43,13 @@ class ModelBundle:
 
     def __post_init__(self):
         # Refuse here what save_bundle could not pack: an integer field
-        # outside its u32 or u64 slot would only fail at save time.
-        for name, bits in (("sample_rate", 32), ("frame_length", 32), ("config_hash", 64)):
-            _check_unsigned(name, getattr(self, name), bits)
+        # outside its u32 or u64 slot, or a label longer than its u16 length
+        # slot, would only fail at save time.  check_frame_length covers
+        # the frame length's slot.
+        for name, bits in (("sample_rate", 32), ("config_hash", 64)):
+            check_unsigned(name, getattr(self, name), bits)
+        if any(len(label.encode()) > 0xFFFF for label in self.mog.labels):
+            raise ValueError("mixture labels must be at most 65535 UTF-8 bytes long")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         check_frame_length(self.frame_length)
@@ -60,15 +63,6 @@ class ModelBundle:
                 f"classifier has {self.net.n_classes} classes, mixture has "
                 f"{self.mog.n_components} components"
             )
-
-
-def _check_unsigned(name: str, value, bits: int) -> None:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__}") from None
-    if not 0 <= value < 1 << bits:
-        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
 
 
 def config_fingerprint(settings: dict) -> int:

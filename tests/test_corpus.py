@@ -1,5 +1,7 @@
 """Synthetic corpus generation, noise mixing, and corpus storage."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,17 +172,41 @@ class TestMixAtSnr:
         np.testing.assert_allclose(rel, 1e-3, rtol=1e-9)
 
     def test_short_noise_tiled(self):
+        """Noise shorter than the clean signal repeats, and its last copy is
+        cut at the clean signal's length."""
         rng = np.random.default_rng(11)
-        clean = Waveform(samples=rng.standard_normal(4000), sample_rate=16000)
+        clean = Waveform(samples=rng.standard_normal(4500), sample_rate=16000)
         noise = Waveform(samples=rng.standard_normal(1000), sample_rate=16000)
         mixed = mix_at_snr(clean, noise, 0.0)
-        assert len(mixed) == 4000
+        assert len(mixed) == 4500
+        added = mixed.samples - clean.samples
+        np.testing.assert_allclose(added[1000:], added[:-1000], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(added[:1000] / noise.samples, added[0] / noise.samples[0])
 
     def test_zero_power_rejected(self):
         clean = Waveform(samples=np.zeros(100), sample_rate=16000)
         noise = Waveform(samples=np.ones(100), sample_rate=16000)
         with pytest.raises(ValueError, match="zero-power"):
             mix_at_snr(clean, noise, 0.0)
+
+    @pytest.mark.parametrize("clean_n,noise_n,snr_db,message", [
+        (100, 0, 0.0, "noise is empty"),
+        (0, 100, 0.0, "clean is empty"),
+        (100, 100, -np.inf, "snr_db must be finite"),
+        (100, 100, np.inf, "snr_db must be finite"),
+        (100, 100, np.nan, "snr_db must be finite"),
+    ], ids=["empty-noise", "empty-clean", "snr-minus-inf", "snr-inf", "snr-nan"])
+    def test_unmixable_argument_is_named(self, clean_n, noise_n, snr_db, message):
+        """Each is refused by name, with no warning first: not a division by
+        zero in the tiling, a mean of an empty slice, or a scale of 0 or
+        inf reported as non-finite samples."""
+        rng = np.random.default_rng(12)
+        clean = Waveform(samples=rng.standard_normal(clean_n), sample_rate=16000)
+        noise = Waveform(samples=rng.standard_normal(noise_n), sample_rate=16000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                mix_at_snr(clean, noise, snr_db)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.signal import get_window
 
+from nnmm.corpus import SyntheticCorpusSpec, default_envelopes
 from nnmm.dsp import (
     ComplexSpectrogram,
     Waveform,
@@ -22,6 +23,9 @@ from nnmm.dsp import (
     stft,
     write_wav,
 )
+from nnmm.enhancer import EnhancerConfig
+from nnmm.mog import PhonemeMog
+from nnmm.serialize import ModelBundle
 
 from oracles import istft_by_frame, stft_by_gather
 
@@ -111,6 +115,35 @@ class TestRoundTrip:
         w = Waveform(samples=np.zeros(100), sample_rate=16000)
         with pytest.raises(ValueError, match="frame_length must be even and at least 8"):
             stft(w, frame_length)
+
+    @staticmethod
+    def _frame_length_users(frame_length):
+        """One call per holder of a frame length: stft, the spectrogram, the
+        enhancer's config, the model bundle and the corpus recipe."""
+        w = Waveform(samples=np.zeros(2048), sample_rate=16000)
+        mog = PhonemeMog(weights=np.ones(1), means=np.zeros((1, 257)), stds=np.ones((1, 257)))
+        return [
+            lambda: stft(w, frame_length),
+            lambda: ComplexSpectrogram(frames=np.zeros((1, 257), complex),
+                                       frame_length=frame_length),
+            lambda: EnhancerConfig(frame_length=frame_length),
+            lambda: ModelBundle(mog=mog, net=None, sample_rate=16000, frame_length=frame_length),
+            lambda: SyntheticCorpusSpec(envelopes=default_envelopes(2),
+                                        frame_length=frame_length),
+        ]
+
+    @pytest.mark.parametrize("frame_length", [512.0, np.float64(512), "512"],
+                             ids=["float", "numpy-float", "str"])
+    def test_non_integer_frame_length_raises(self, frame_length):
+        """A whole float is refused where it is given, not inside the FFT
+        of the first stft that takes it."""
+        for make in self._frame_length_users(frame_length):
+            with pytest.raises(ValueError, match="frame_length must be an integer"):
+                make()
+
+    def test_numpy_integer_frame_length_accepted(self):
+        for make in self._frame_length_users(np.int64(512)):
+            make()
 
     def test_shapes(self):
         w = Waveform(samples=np.zeros(16000), sample_rate=16000)

@@ -686,11 +686,11 @@ class TestSpeechSideWorker:
 
         spp, steps = enhancer.weighted_spp, []
 
-        def first_step_waits(posterior, rho, *, out):
+        def first_step_waits(posterior, rho):
             if not steps:
                 time.sleep(0.5)
             steps.append(None)
-            return spp(posterior, rho, out=out)
+            return spp(posterior, rho)
 
         monkeypatch.setattr(enhancer, "weighted_spp", first_step_waits)
         baseline = threading.active_count()
@@ -836,11 +836,11 @@ class TestSpeechSideWorker:
 
         spp, frames = enhancer.weighted_spp, []
 
-        def fails_at_frame_100(posterior, rho, *, out):
+        def fails_at_frame_100(posterior, rho):
             frames.append(None)
             if len(frames) == 100:
                 raise RuntimeError("frame 100")
-            return spp(posterior, rho, out=out)
+            return spp(posterior, rho)
 
         monkeypatch.setattr(enhancer, "weighted_spp", fails_at_frame_100)
         with pytest.raises(RuntimeError, match="frame 100"):
@@ -971,8 +971,8 @@ class TestInputChecks:
         mog, net, _, noisy = setup
         spp = enhancer.weighted_spp
 
-        def one_bad_bin(posterior, rho, *, out):
-            spp(posterior, rho, out=out)
+        def one_bad_bin(posterior, rho):
+            out = spp(posterior, rho)
             out[..., 5] = bad
             return out
 

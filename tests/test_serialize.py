@@ -224,6 +224,24 @@ class TestBundle:
         with pytest.raises(ValueError, match=field):
             ModelBundle(**fields)
 
+    def test_label_longer_than_its_length_slot_is_refused(self, tmp_path):
+        """A label of 65535 UTF-8 bytes round-trips; one byte more is refused
+        at construction, not by save_bundle's u16 length slot.  Bytes are
+        counted, not characters: 32768 two-byte characters are too many."""
+        mog = make_mog()
+
+        def bundle(first_label):
+            labels = (first_label,) + mog.labels[1:]
+            return ModelBundle(mog=PhonemeMog(weights=mog.weights, means=mog.means,
+                                              stds=mog.stds, labels=labels),
+                               net=None, sample_rate=16000, frame_length=512)
+
+        save_bundle(bundle("a" * 0xFFFF), tmp_path / "m.nnmm")
+        assert load_bundle(tmp_path / "m.nnmm").mog.labels[0] == "a" * 0xFFFF
+        for label in ("a" * 0x10000, "ñ" * 0x8000):
+            with pytest.raises(ValueError, match="labels must be at most 65535 UTF-8 bytes"):
+                bundle(label)
+
     def test_header_extremes_round_trip(self, tmp_path):
         bundle = ModelBundle(mog=make_mog(), net=None, sample_rate=2**32 - 1,
                              frame_length=512, config_hash=2**64 - 1)
