@@ -90,19 +90,6 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _enhancer_settings(args) -> dict:
-    """The enhancer settings given, config file < explicit flags, typed;
-    settings left at their default are absent."""
-    merged = parse_config_file(args.config) if args.config else {}
-    for key in CONFIG_TYPES:
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
-    try:
-        return {key: CONFIG_TYPES[key](value) for key, value in merged.items()}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _check_reference_settings(settings: dict) -> None:
     """Refuse settings the fixed-noise reference mode cannot honour: it
     does no soft subtraction (beta), and its alpha, estimator and posterior
@@ -116,14 +103,30 @@ def _check_reference_settings(settings: dict) -> None:
                              f"the reference mode always uses {fixed}")
 
 
-def build_enhancer_config(settings: dict) -> EnhancerConfig:
-    """An EnhancerConfig from :func:`_enhancer_settings`, checked before any
-    file is read; unset fields keep their defaults.  The frame length is the
-    default one until the caller replaces it with the bundle's."""
+def _enhancement_job(args, reference: bool = False) -> tuple[EnhancerConfig, ModelBundle]:
+    """The enhancer config and the model bundle of an enhance or evaluate run.
+
+    The config file's settings, overridden by the flags, are typed, held to
+    ``REFERENCE_MODE`` under ``reference``, and built into the config before
+    any file is read, so a bad setting is a usage error whatever state the
+    files are in.  The bundle then fixes the frame length, and must hold a
+    classifier if the config's posterior source needs one.
+    """
+    settings = parse_config_file(args.config) if args.config else {}
+    settings.update({key: getattr(args, key) for key in CONFIG_TYPES
+                     if getattr(args, key) is not None})
     try:
-        return EnhancerConfig(**settings)
+        settings = {key: CONFIG_TYPES[key](value) for key, value in settings.items()}
+        if reference:
+            _check_reference_settings(settings)
+            settings.update(REFERENCE_MODE)
+        cfg = EnhancerConfig(**settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    bundle = load_bundle(args.bundle)
+    if cfg.posterior_source == "nn" and bundle.net is None:
+        raise ValueError("bundle has no classifier; run train-nn or use --posterior generative")
+    return replace(cfg, frame_length=bundle.frame_length), bundle
 
 
 def _add_enhancer_flags(sub: argparse.ArgumentParser) -> None:
@@ -135,12 +138,6 @@ def _add_enhancer_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--estimator", choices=ESTIMATORS)
     sub.add_argument("--posterior", choices=POSTERIOR_SOURCES, dest="posterior_source",
                      help="component posterior source")
-
-
-def _check_classifier(cfg: EnhancerConfig, bundle: ModelBundle) -> None:
-    """Refuse the classifier posterior from a bundle that holds no classifier."""
-    if cfg.posterior_source == "nn" and bundle.net is None:
-        raise ValueError("bundle has no classifier; run train-nn or use --posterior generative")
 
 
 def _load_compatible_corpus(args, bundle: ModelBundle):
@@ -224,32 +221,19 @@ def cmd_train_nn(args) -> int:
     for epoch, mean_ll in enumerate(history):
         print(f"epoch {epoch:3d}  mean log-likelihood {mean_ll:+.4f}")
     out = args.out or args.bundle
-    save_bundle(
-        ModelBundle(
-            mog=bundle.mog, net=net,
-            sample_rate=bundle.sample_rate, frame_length=bundle.frame_length,
-            config_hash=bundle.config_hash,
-        ),
-        out,
-    )
+    save_bundle(replace(bundle, net=net), out)
     accuracy = classify_accuracy(net, features, labels)
     print(f"training accuracy {accuracy:.3f}; wrote classifier to {out}")
     return 0
 
 
 def cmd_enhance(args) -> int:
-    settings = _enhancer_settings(args)
-    if args.fixed_noise:
-        _check_reference_settings(settings)
-    cfg = build_enhancer_config(settings)
-    bundle = load_bundle(args.bundle)
-    cfg = replace(cfg, frame_length=bundle.frame_length)
+    cfg, bundle = _enhancement_job(args, reference=args.fixed_noise)
     wav = read_wav(args.infile, expected_rate=bundle.sample_rate)
     if args.fixed_noise:
         out = enhance_mixmax_original(wav, bundle.mog, cfg)
         print(f"enhanced {args.infile} (fixed-noise reference mode)")
     else:
-        _check_classifier(cfg, bundle)
         out, report = enhance_utterance(wav, bundle.mog, bundle.net, cfg)
         print(f"enhanced {args.infile}: {report.frames_processed} frames, "
               f"mean SPP {report.mean_spp:.3f}, "
@@ -291,10 +275,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"--snr {args.snr!r}: every SNR must be finite")
     if not snrs or not noise_types:
         raise UsageError("need at least one SNR and one noise type")
-    cfg = build_enhancer_config(_enhancer_settings(args))
-    bundle = load_bundle(args.bundle)
-    cfg = replace(cfg, frame_length=bundle.frame_length)
-    _check_classifier(cfg, bundle)
+    cfg, bundle = _enhancement_job(args)
     utterances, _ = _load_compatible_corpus(args, bundle)
 
     rows = []

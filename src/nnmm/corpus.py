@@ -140,9 +140,11 @@ def synthesize_utterance(spec: SyntheticCorpusSpec, rng) -> LabeledUtterance:
     x *= PEAK_LEVEL / np.max(np.abs(x))
     sample_class = np.repeat(np.asarray(classes, dtype=np.intp), lengths)
 
-    # Label each STFT frame by the class at its center sample.
+    # Label each STFT frame by the class at its center sample.  Frame t
+    # starts at t * hop - edge_padding, and stft pads edge_padding = L - hop
+    # zeros, so its center is (t + 1) * hop - L / 2.
     n_fr = num_frames(len(x), spec.frame_length)
-    centers = np.clip((np.arange(n_fr) - 1) * hop, 0, len(x) - 1)
+    centers = np.clip((np.arange(n_fr) + 1) * hop - spec.frame_length // 2, 0, len(x) - 1)
     return LabeledUtterance(
         waveform=Waveform(samples=x, sample_rate=spec.sample_rate),
         frame_labels=sample_class[centers],

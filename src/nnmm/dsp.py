@@ -41,9 +41,10 @@ class Waveform:
             raise ValueError("waveform must be single-channel (1-D samples)")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
-        if int(self.sample_rate) <= 0:
+        check_unsigned("sample_rate", self.sample_rate, 32)
+        if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", operator.index(self.sample_rate))
 
     def __len__(self):
         return len(self.samples)

@@ -92,6 +92,11 @@ prefix noise model.  Every combination runs the same recursion.  The
 reference mode, ``REFERENCE_MODE``, is the MMSE estimator with the
 generative posterior at ``alpha = 0`` (Nádas, Nahamoo & Picheny 1989);
 :func:`enhance_mixmax_original` runs it.
+
+With the classifier's posterior, the output repeats bit for bit only at a
+fixed BLAS thread count, as training does: :func:`_precompute` runs the
+classifier over all frames as one matrix product, and another thread count
+can round it differently.  The generative posterior makes no such product.
 """
 
 from __future__ import annotations
@@ -221,11 +226,12 @@ class EnhancementReport:
 def noise_prefix_frames(logspecs: np.ndarray, sample_rate: int, cfg: EnhancerConfig) -> np.ndarray:
     """Slice of fully-inside-signal leading frames used for noise statistics.
 
-    The first few STFT frames overlap the zero padding, so they are skipped;
-    the prefix then spans ``cfg.noise_prefix`` seconds (at least 2 frames).
+    The first few STFT frames overlap the zero padding, so they are skipped:
+    the prefix starts at the first frame that starts at sample 0 or later, and
+    spans ``cfg.noise_prefix`` seconds (at least 2 frames).
     """
     hop = cfg.frame_length // 4
-    lead = edge_padding(cfg.frame_length) // hop
+    lead = -(-edge_padding(cfg.frame_length) // hop)
     n_prefix = max(2, int(round(cfg.noise_prefix * sample_rate / hop)))
     if lead + n_prefix > logspecs.shape[0]:
         raise ValueError(

@@ -284,10 +284,17 @@ class TestExitCodes:
                                                "or use --posterior generative\n")
             assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["enhance", "evaluate"])
-    def test_mixture_only_bundle_runs_generative(self, workspace, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,flags", [
+        ("enhance", ["--posterior", "generative"]),
+        ("evaluate", ["--posterior", "generative"]),
+        # The reference mode's posterior is the generative one, so it needs
+        # no classifier and no --posterior flag.
+        ("enhance", ["--fixed-noise"]),
+    ], ids=["enhance", "evaluate", "enhance-fixed-noise"])
+    def test_mixture_only_bundle_runs_generative(self, workspace, tmp_path, capsys,
+                                                 command, flags):
         out = tmp_path / "out"
-        argv = self._mixture_only_run(command, workspace, out) + ["--posterior", "generative"]
+        argv = self._mixture_only_run(command, workspace, out) + flags
         assert main(argv) == 0
         assert out.exists()
         capsys.readouterr()

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import nnmm.corpus as corpus
 from nnmm.corpus import (
     ClassEnvelope,
     SyntheticCorpusSpec,
@@ -17,7 +18,7 @@ from nnmm.corpus import (
     synthesize_corpus,
     white_noise,
 )
-from nnmm.dsp import Waveform, num_frames
+from nnmm.dsp import Waveform, edge_padding, num_frames
 from nnmm.mog import train_supervised
 
 
@@ -113,6 +114,30 @@ class TestSynthesis:
         bin_lo = int(round(400 / 31.25))
         gap = abs(mog.means[0, bin_lo] - mog.means[1, bin_lo])
         assert gap > 5 * max(mog.stds[0, bin_lo], mog.stds[1, bin_lo])
+
+    def test_labels_are_the_class_at_each_frame_center(self, monkeypatch):
+        """At L = 510 the hop does not divide the stft's padding, so a frame
+        center is not a multiple of the hop; each label must still be the
+        class under its frame's center sample."""
+        envs = default_envelopes(3)
+        segments = []  # (class, length) of each segment, in order
+
+        def shaped_segment(env, n, sample_rate, rng):
+            segments.append((envs.index(env), n))
+            return np.ones(n)
+
+        monkeypatch.setattr(corpus, "_shaped_segment", shaped_segment)
+        spec = SyntheticCorpusSpec(envelopes=envs, frame_length=510, seed=2)
+        rng = np.random.default_rng(spec.seed)
+        for _ in range(3):
+            segments.clear()
+            utt = corpus.synthesize_utterance(spec, rng)
+            sample_class = np.repeat(*np.array(segments).T)
+            centers = (np.arange(len(utt.frame_labels)) * (510 // 4)
+                       - edge_padding(510) + 510 // 2)
+            expected = sample_class[np.clip(centers, 0, len(sample_class) - 1)]
+            assert np.array_equal(utt.frame_labels, expected)
+            assert np.any(np.diff(utt.frame_labels))
 
     def test_peak_normalized(self):
         utt = synthesize_corpus(small_spec(), 1)[0]

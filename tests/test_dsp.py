@@ -44,6 +44,19 @@ class TestWaveform:
         with pytest.raises(ValueError, match="finite"):
             Waveform(samples=np.array([0.0, np.nan]), sample_rate=16000)
 
+    @pytest.mark.parametrize("rate", [16000.7, 16000.0, "16000", 0, -1],
+                             ids=["fraction", "whole-float", "str", "zero", "negative"])
+    def test_unusable_sample_rate_raises(self, rate):
+        """A rate that is not a positive integer is refused, not truncated
+        to one."""
+        with pytest.raises(ValueError, match="sample_rate"):
+            Waveform(samples=np.zeros(100), sample_rate=rate)
+
+    def test_numpy_integer_sample_rate_stored_as_int(self):
+        w = Waveform(samples=np.zeros(100), sample_rate=np.int64(16000))
+        assert w.sample_rate == 16000
+        assert type(w.sample_rate) is int
+
     def test_duration(self):
         w = Waveform(samples=np.zeros(8000), sample_rate=16000)
         assert w.duration == 0.5

@@ -1013,3 +1013,14 @@ class TestNoiseTracking:
         assert prefix.shape == (31, 257)
         lead = edge_padding(512) // 128
         assert lead == 3
+
+    @pytest.mark.parametrize("frame_length", [256, 510, 512])
+    def test_prefix_starts_at_first_frame_clear_of_padding(self, frame_length):
+        """The first prefix frame is the first that starts at sample 0 or
+        later: at 510 the hop does not divide the padding, and one frame
+        fewer would read two padding zeros."""
+        hop = frame_length // 4
+        logs = np.arange(100.0)[:, None] * np.ones(frame_length // 2 + 1)
+        cfg = EnhancerConfig(frame_length=frame_length)
+        lead = int(noise_prefix_frames(logs, 16000, cfg)[0, 0])
+        assert lead * hop >= edge_padding(frame_length) > (lead - 1) * hop
