@@ -10,6 +10,8 @@ comparing the adaptive enhancer against the fixed-noise reference mode that
 keeps the initial noise estimate for the whole utterance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from nnmm import (
@@ -20,7 +22,6 @@ from nnmm import (
     adapt,
     assemble_frames,
     default_envelopes,
-    enhance_mixmax_original,
     enhance_utterance,
     mix_at_snr,
     segmental_snr,
@@ -29,6 +30,7 @@ from nnmm import (
     train,
     train_supervised,
 )
+from nnmm.enhancer import REFERENCE_MODE
 
 
 def recursion_demo():
@@ -65,7 +67,7 @@ def enhancement_demo():
 
     cfg = EnhancerConfig()
     out, _ = enhance_utterance(noisy, mog, net, cfg)
-    ref = enhance_mixmax_original(noisy, mog, cfg)
+    ref, _ = enhance_utterance(noisy, mog, None, replace(cfg, **REFERENCE_MODE))
 
     print("\nnoise level steps +8 dB mid-utterance:")
     print(f"  noisy         : {segmental_snr(clean, noisy):6.2f} dB segmental SNR")

@@ -29,10 +29,9 @@ from .dsp import log_spectra, read_wav, stft, write_wav
 from .enhancer import (
     ESTIMATORS,
     POSTERIOR_SOURCES,
-    REFERENCE_MODE,
     EnhancerConfig,
     enhance_batch,
-    enhance_mixmax_original,
+    enhance_mixmax_original,  # not called here: perfbench's layer_wraps patches this name
     enhance_utterance,
 )
 from .errors import BundleFormatError, NumericError
@@ -90,36 +89,20 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _check_reference_settings(settings: dict) -> None:
-    """Refuse settings the fixed-noise reference mode cannot honour: it
-    does no soft subtraction (beta), and its alpha, estimator and posterior
-    source are fixed."""
-    if "beta" in settings:
-        raise UsageError(f"--fixed-noise cannot honour beta={settings['beta']}: "
-                         "the reference mode does not subtract")
-    for key, fixed in REFERENCE_MODE.items():
-        if settings.get(key, fixed) != fixed:
-            raise UsageError(f"--fixed-noise cannot honour {key}={settings[key]}: "
-                             f"the reference mode always uses {fixed}")
-
-
-def _enhancement_job(args, reference: bool = False) -> tuple[EnhancerConfig, ModelBundle]:
+def _enhancement_job(args) -> tuple[EnhancerConfig, ModelBundle]:
     """The enhancer config and the model bundle of an enhance or evaluate run.
 
-    The config file's settings, overridden by the flags, are typed, held to
-    ``REFERENCE_MODE`` under ``reference``, and built into the config before
-    any file is read, so a bad setting is a usage error whatever state the
-    files are in.  The bundle then fixes the frame length, and must hold a
-    classifier if the config's posterior source needs one.
+    The config file's settings, overridden by the flags, are typed and built
+    into the config before any file is read, so a bad setting is a usage
+    error whatever state the files are in.  The bundle then fixes the frame
+    length, and must hold a classifier if the config's posterior source
+    needs one.
     """
     settings = parse_config_file(args.config) if args.config else {}
     settings.update({key: getattr(args, key) for key in CONFIG_TYPES
                      if getattr(args, key) is not None})
     try:
         settings = {key: CONFIG_TYPES[key](value) for key, value in settings.items()}
-        if reference:
-            _check_reference_settings(settings)
-            settings.update(REFERENCE_MODE)
         cfg = EnhancerConfig(**settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -228,16 +211,12 @@ def cmd_train_nn(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    cfg, bundle = _enhancement_job(args, reference=args.fixed_noise)
+    cfg, bundle = _enhancement_job(args)
     wav = read_wav(args.infile, expected_rate=bundle.sample_rate)
-    if args.fixed_noise:
-        out = enhance_mixmax_original(wav, bundle.mog, cfg)
-        print(f"enhanced {args.infile} (fixed-noise reference mode)")
-    else:
-        out, report = enhance_utterance(wav, bundle.mog, bundle.net, cfg)
-        print(f"enhanced {args.infile}: {report.frames_processed} frames, "
-              f"mean SPP {report.mean_spp:.3f}, "
-              f"numerical fallbacks {report.diagnostics.total}")
+    out, report = enhance_utterance(wav, bundle.mog, bundle.net, cfg)
+    print(f"enhanced {args.infile}: {report.frames_processed} frames, "
+          f"mean SPP {report.mean_spp:.3f}, "
+          f"numerical fallbacks {report.diagnostics.total}")
     write_wav(args.out, out)
     return 0
 
@@ -360,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--in", required=True, dest="infile", metavar="WAV")
     p.add_argument("--out", required=True, metavar="WAV")
-    p.add_argument("--fixed-noise", action="store_true", dest="fixed_noise",
-                   help="reference mode: generative posterior, exact MMSE, frozen noise")
     _add_enhancer_flags(p)
     p.set_defaults(func=cmd_enhance)
 

@@ -90,6 +90,11 @@ class SyntheticCorpusSpec:
         if len({e.formants for e in self.envelopes}) != len(self.envelopes):
             raise ValueError("class envelopes must be distinct")
         check_frame_length(self.frame_length)
+        for name in ("utterance_seconds", "amp_jitter"):
+            low, high = getattr(self, name)
+            if not 0 < low <= high < np.inf:
+                raise ValueError(f"{name} must be finite with 0 < low <= high, "
+                                 f"got {(low, high)}")
 
     @property
     def n_classes(self) -> int:

@@ -486,6 +486,9 @@ def enhance_mixmax_original(w: Waveform, mog: PhonemeMog, cfg: EnhancerConfig) -
     updated (alpha = 0), and no classifier is involved; only frame length
     and prefix are read from cfg.  The same call through
     :func:`enhance_utterance` or :func:`enhance_batch` also returns the
-    report.
+    report; ``nnmm enhance`` and ``nnmm evaluate`` run it with ``--alpha 0
+    --estimator mixmax-mmse --posterior generative``.  Kept as the entry
+    point of the benchmark's ``mmse_reference`` workload until the benchmark
+    calls :func:`enhance_utterance` itself (ROADMAP 1b).
     """
     return enhance_utterance(w, mog, None, replace(cfg, **REFERENCE_MODE))[0]

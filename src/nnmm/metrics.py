@@ -31,6 +31,9 @@ def segmental_snr(clean: Waveform, enhanced: Waveform) -> float:
     if len(clean) != len(enhanced) or clean.sample_rate != enhanced.sample_rate:
         raise ValueError("signals must share length and sample rate")
     frame = max(1, int(round(SEGSNR_FRAME_MS * 1e-3 * clean.sample_rate)))
+    if len(clean) < frame:
+        raise ValueError(f"signals of {len(clean)} samples are shorter than one "
+                         f"{SEGSNR_FRAME_MS:g} ms segment ({frame} samples)")
 
     e_clean = _frame_energies(clean.samples, frame)
     e_err = _frame_energies(clean.samples - enhanced.samples, frame)

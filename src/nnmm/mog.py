@@ -101,6 +101,10 @@ def train_em(
     is re-seeded from a random frame.  Variances are maximum-likelihood
     (responsibility-weighted, no Bessel correction).
     """
+    if n_components < 1:
+        raise ValueError(f"n_components must be at least 1, got {n_components}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
     x = np.asarray(logspecs, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < n_components:
         raise ValueError("need at least one frame per component")

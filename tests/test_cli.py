@@ -2,19 +2,28 @@
 
 import csv
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from nnmm.cli import UsageError, main, parse_config_file
 from nnmm.corpus import load_corpus, mix_at_snr, step_white_noise, white_noise
-from nnmm.dsp import read_wav, stft
-from nnmm.enhancer import BATCH_ROWS, EnhancerConfig, enhance_utterance
+from nnmm.dsp import Waveform, read_wav, stft, write_wav
+from nnmm.enhancer import (
+    BATCH_ROWS,
+    REFERENCE_MODE,
+    EnhancerConfig,
+    enhance_mixmax_original,
+    enhance_utterance,
+)
 from nnmm.features import feature_matrix
 from nnmm.metrics import log_spectral_distance, segmental_snr
 from nnmm.nn import classify_accuracy
 from nnmm.serialize import load_bundle
+
+# The fixed-noise reference mode, REFERENCE_MODE, as enhance and evaluate flags.
+REFERENCE_FLAGS = ["--alpha", "0", "--estimator", "mixmax-mmse", "--posterior", "generative"]
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +81,31 @@ class TestWorkflow:
         noisy = sorted(corpus.glob("*.wav"))[0]
         out = root / "enhanced_fixed.wav"
         assert main(["enhance", "--bundle", str(full), "--in", str(noisy),
-                     "--out", str(out), "--fixed-noise"]) == 0
+                     "--out", str(out), *REFERENCE_FLAGS]) == 0
         assert out.exists()
+
+    def test_reference_mode_prints_fallbacks(self, workspace, tmp_path, capsys):
+        """The reference mode runs through enhance_utterance like every other
+        mode: on an input with digital silence it prints the fallbacks the
+        report counts, and writes the samples enhance_mixmax_original gives."""
+        _, corpus, bundle, _ = workspace
+        wav = read_wav(sorted(corpus.glob("*.wav"))[0])
+        samples = wav.samples.copy()
+        samples[12000:14000] = 0.0
+        gap = tmp_path / "gap.wav"
+        write_wav(gap, Waveform(samples=samples, sample_rate=wav.sample_rate))
+        out = tmp_path / "out.wav"
+        assert main(["enhance", "--bundle", str(bundle), "--in", str(gap),
+                     "--out", str(out), *REFERENCE_FLAGS]) == 0
+
+        mog, cfg = load_bundle(bundle).mog, EnhancerConfig()
+        _, report = enhance_utterance(read_wav(gap), mog, None, replace(cfg, **REFERENCE_MODE))
+        total = report.diagnostics.total
+        assert total > 0
+        assert f"numerical fallbacks {total}\n" in capsys.readouterr().out
+        expected = tmp_path / "expected.wav"
+        write_wav(expected, enhance_mixmax_original(read_wav(gap), mog, cfg))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_classify_reports_accuracy(self, workspace, capsys):
         _, corpus, _, full = workspace
@@ -288,8 +320,8 @@ class TestExitCodes:
         ("enhance", ["--posterior", "generative"]),
         ("evaluate", ["--posterior", "generative"]),
         # The reference mode's posterior is the generative one, so it needs
-        # no classifier and no --posterior flag.
-        ("enhance", ["--fixed-noise"]),
+        # no classifier.
+        ("enhance", REFERENCE_FLAGS),
     ], ids=["enhance", "evaluate", "enhance-fixed-noise"])
     def test_mixture_only_bundle_runs_generative(self, workspace, tmp_path, capsys,
                                                  command, flags):
@@ -315,6 +347,20 @@ class TestExitCodes:
         assert main(["train-nn", "--corpus", str(corpus), "--bundle", str(bundle),
                      "--out", str(out), "--hidden", "4", "--epochs", "1", *flags]) == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--components", "0"], "n_components must be at least 1, got 0"),
+        (["--components", "-2"], "n_components must be at least 1, got -2"),
+        (["--components", "3", "--iterations", "-1"], "iterations must be nonnegative, got -1"),
+    ], ids=["no-components", "negative-components", "negative-iterations"])
+    def test_train_mog_em_bad_setting_is_data_error(self, workspace, tmp_path, capsys,
+                                                    flags, message):
+        """A setting that would fit nothing is named; no bundle is written."""
+        _, corpus, _, _ = workspace
+        out = tmp_path / "em.nnmm"
+        assert main(["train-mog-em", "--corpus", str(corpus), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_frame_length_conflict_is_usage_error(self, workspace, tmp_path, capsys):
@@ -371,60 +417,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "utt_0002.labels" in err and f"label {label} outside [0, 3)" in err
 
-    @pytest.mark.parametrize("flags,setting", [
-        (["--beta", "9"], "beta=9.0"),
-        (["--alpha", "0.5"], "alpha=0.5"),
-        (["--estimator", "soft-subtraction"], "estimator=soft-subtraction"),
-        (["--posterior", "nn"], "posterior_source=nn"),
-    ], ids=["beta", "alpha", "estimator", "posterior"])
-    def test_fixed_noise_refuses_unused_flag(self, workspace, tmp_path, capsys, flags, setting):
-        """The reference mode cannot honour these settings; naming them
-        beats writing the same output as a plain --fixed-noise run."""
+    def test_fixed_noise_flag_is_gone(self, workspace, tmp_path, capsys):
+        """The reference mode is spelled with its three settings; the old
+        flag is an unrecognized argument."""
         _, corpus, _, full = workspace
-        noisy = sorted(corpus.glob("*.wav"))[0]
         out = tmp_path / "x.wav"
-        assert main(["enhance", "--bundle", str(full), "--in", str(noisy),
-                     "--out", str(out), "--fixed-noise", *flags]) == 1
-        assert f"--fixed-noise cannot honour {setting}" in capsys.readouterr().err
+        assert main(["enhance", "--bundle", str(full), "--in",
+                     str(sorted(corpus.glob("*.wav"))[0]), "--out", str(out),
+                     "--fixed-noise"]) == 1
+        assert "unrecognized arguments: --fixed-noise" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("line,setting", [
-        ("beta = 9", "beta=9"),
-        ("alpha = 0.5", "alpha=0.5"),
-        ("estimator = soft-subtraction", "estimator=soft-subtraction"),
-        ("posterior_source = nn", "posterior_source=nn"),
-    ], ids=["beta", "alpha", "estimator", "posterior"])
-    def test_fixed_noise_refuses_unused_config_key(self, workspace, tmp_path, capsys,
-                                                   line, setting):
-        _, corpus, _, full = workspace
-        noisy = sorted(corpus.glob("*.wav"))[0]
-        cfg = tmp_path / "enh.cfg"
-        cfg.write_text(f"noise_prefix = 0.25\n{line}\n")
-        out = tmp_path / "x.wav"
-        assert main(["enhance", "--bundle", str(full), "--in", str(noisy),
-                     "--out", str(out), "--fixed-noise", "--config", str(cfg)]) == 1
-        assert f"--fixed-noise cannot honour {setting}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_fixed_noise_takes_its_own_settings(self, workspace, tmp_path, capsys):
-        """The reference mode's own alpha, estimator and posterior source, and
-        the noise prefix it reads, are accepted and change nothing; alpha 0
-        is accepted as a flag, as 0.0 and as a config-file key."""
-        _, corpus, _, full = workspace
-        noisy = sorted(corpus.glob("*.wav"))[0]
-        plain, explicit = tmp_path / "plain.wav", tmp_path / "explicit.wav"
-        argv = ["enhance", "--bundle", str(full), "--in", str(noisy), "--fixed-noise"]
-        assert main([*argv, "--out", str(plain)]) == 0
-        assert main([*argv, "--out", str(explicit), "--estimator", "mixmax-mmse",
-                     "--posterior", "generative", "--noise-prefix", "0.25"]) == 0
-        assert plain.read_bytes() == explicit.read_bytes()
-        cfg = tmp_path / "enh.cfg"
-        cfg.write_text("alpha = 0\n")
-        for extra in (["--alpha", "0"], ["--alpha", "0.0"], ["--config", str(cfg)]):
-            explicit.unlink()
-            assert main([*argv, "--out", str(explicit), *extra]) == 0
-            assert plain.read_bytes() == explicit.read_bytes()
-        capsys.readouterr()
 
     @pytest.mark.parametrize("snr", ["5,abc", "nan", "inf"])
     def test_evaluate_bad_snr_is_usage_error(self, workspace, tmp_path, capsys, snr):

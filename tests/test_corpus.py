@@ -148,6 +148,16 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="distinct"):
             SyntheticCorpusSpec(envelopes=(env, env))
 
+    @pytest.mark.parametrize("name", ["utterance_seconds", "amp_jitter"])
+    @pytest.mark.parametrize("bounds", [(0.0, 0.0), (2.0, 1.0), (-1.0, 1.0),
+                                        (0.5, np.inf), (np.nan, 1.0)],
+                             ids=["zero", "reversed", "negative", "infinite", "nan"])
+    def test_bad_range_rejected(self, name, bounds):
+        """Refused by name when the spec is made, not later as an empty
+        concatenation, a reversed uniform draw or a division by zero."""
+        with pytest.raises(ValueError, match=f"{name} must be finite with 0 < low <= high"):
+            SyntheticCorpusSpec(envelopes=default_envelopes(3), **{name: bounds})
+
 
 # ---------------------------------------------------------------------------
 # Noise and mixing

@@ -82,6 +82,12 @@ class TestSegmentalSnr:
         with pytest.raises(ValueError, match="length"):
             segmental_snr(wav(np.ones(4000)), wav(np.ones(4001)))
 
+    def test_shorter_than_one_segment_rejected(self):
+        """300 samples at 16 kHz hold no 32 ms (512-sample) segment."""
+        x = np.random.default_rng(8).standard_normal(300)
+        with pytest.raises(ValueError, match="300 samples are shorter than one 32 ms segment"):
+            segmental_snr(wav(x), wav(x))
+
 
 # ---------------------------------------------------------------------------
 # Log-spectral distance

@@ -166,3 +166,15 @@ class TestEm:
         with pytest.raises(ValueError, match="at least one frame per component"):
             train_em(np.zeros((2, 4)), 3)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_components": 0}, "n_components must be at least 1, got 0"),
+        ({"n_components": -2}, "n_components must be at least 1, got -2"),
+        ({"n_components": 2, "iterations": -1}, "iterations must be nonnegative, got -1"),
+    ], ids=["no-components", "negative-components", "negative-iterations"])
+    def test_bad_setting_rejected_by_name(self, kwargs, message):
+        """Not a division by zero, numpy's negative dimensions, or the
+        unfitted seeds returned as a fit."""
+        x, _ = two_cluster_data(np.random.default_rng(7), n_per=20)
+        with pytest.raises(ValueError, match=message):
+            train_em(x, **kwargs)
+
