@@ -58,52 +58,20 @@ class _Parser(argparse.ArgumentParser):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-# Every enhancer setting but the frame length, which the model bundle fixes,
-# with the type of its default.  Flags and config-file keys use these names.
-CONFIG_TYPES = {
-    f.name: type(f.default) for f in fields(EnhancerConfig) if f.name != "frame_length"
-}
-
-
-def parse_config_file(path: str) -> dict:
-    """Flat key=value file mirroring the enhancer configuration fields."""
-    values = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep:
-            raise UsageError(f"{path}:{lineno}: expected <key>=<value>")
-        if key not in CONFIG_TYPES:
-            raise UsageError(
-                f"{path}:{lineno}: unknown key {key!r} (expected one of {tuple(CONFIG_TYPES)})"
-            )
-        values[key] = value
-    return values
-
-
 def _enhancement_job(args) -> tuple[EnhancerConfig, ModelBundle]:
     """The enhancer config and the model bundle of an enhance or evaluate run.
 
-    The config file's settings, overridden by the flags, are typed and built
-    into the config before any file is read, so a bad setting is a usage
-    error whatever state the files are in.  The bundle then fixes the frame
-    length, and must hold a classifier if the config's posterior source
-    needs one.
+    Every enhancer setting but the frame length has a flag of its own name.
+    The config is built from the flags that were given before any file is
+    read, so a bad setting is a usage error whatever state the files are in.
+    The bundle then fixes the frame length, and must hold a classifier if
+    the config's posterior source needs one.
     """
-    settings = parse_config_file(args.config) if args.config else {}
-    settings.update({key: getattr(args, key) for key in CONFIG_TYPES
-                     if getattr(args, key) is not None})
     try:
-        settings = {key: CONFIG_TYPES[key](value) for key, value in settings.items()}
-        cfg = EnhancerConfig(**settings)
+        cfg = EnhancerConfig(**{
+            f.name: getattr(args, f.name) for f in fields(EnhancerConfig)
+            if f.name != "frame_length" and getattr(args, f.name) is not None
+        })
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     bundle = load_bundle(args.bundle)
@@ -113,7 +81,6 @@ def _enhancement_job(args) -> tuple[EnhancerConfig, ModelBundle]:
 
 
 def _add_enhancer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--beta", type=float, help="noise-reduction level, natural-log units")
     sub.add_argument("--alpha", type=float, help="noise smoothing in [0,1); 0 keeps the prefix noise")
     sub.add_argument("--noise-prefix", type=float, dest="noise_prefix",

@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, check_frame_length, log_spectra, num_frames, read_wav, stft, write_wav
+from .dsp import (
+    Waveform,
+    check_frame_length,
+    check_unsigned,
+    log_spectra,
+    num_frames,
+    read_wav,
+    stft,
+    write_wav,
+)
 from .features import feature_matrix
 
 PEAK_LEVEL = 0.5
@@ -41,10 +50,10 @@ class ClassEnvelope:
     def __post_init__(self):
         if len(self.formants) != len(self.bandwidths) or not self.formants:
             raise ValueError("need one bandwidth per formant")
-        if min(self.bandwidths) <= 0 or min(self.formants) <= 0:
-            raise ValueError("formants and bandwidths must be positive")
-        if self.floor <= 0:
-            raise ValueError("floor must be positive")
+        if not all(0 < v < np.inf for v in (*self.formants, *self.bandwidths)):
+            raise ValueError("formants and bandwidths must be finite and positive")
+        if not 0 < self.floor < np.inf:
+            raise ValueError("floor must be finite and positive")
 
     def gain(self, freqs: np.ndarray) -> np.ndarray:
         """Amplitude response at the given frequencies (Hz)."""
@@ -89,12 +98,18 @@ class SyntheticCorpusSpec:
             raise ValueError("need at least 2 classes")
         if len({e.formants for e in self.envelopes}) != len(self.envelopes):
             raise ValueError("class envelopes must be distinct")
+        check_unsigned("sample_rate", self.sample_rate, 32)
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
         check_frame_length(self.frame_length)
         for name in ("utterance_seconds", "amp_jitter"):
             low, high = getattr(self, name)
             if not 0 < low <= high < np.inf:
                 raise ValueError(f"{name} must be finite with 0 < low <= high, "
                                  f"got {(low, high)}")
+        if self.utterance_seconds[0] * self.sample_rate < 1:
+            raise ValueError(f"utterance_seconds must start at one sample or more, "
+                             f"got {self.utterance_seconds} at {self.sample_rate} Hz")
 
     @property
     def n_classes(self) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import MAGNITUDE_FLOOR, Waveform, log_spectra, stft
+from .dsp import Waveform, log_spectra, stft
 
 SEGSNR_FLOOR_DB = -10.0
 SEGSNR_CEIL_DB = 35.0
@@ -22,6 +22,15 @@ def _frame_energies(x: np.ndarray, frame: int) -> np.ndarray:
     return np.sum(x[: n * frame].reshape(n, frame) ** 2, axis=1)
 
 
+def _loud_frames(energies: np.ndarray, metric: str) -> np.ndarray:
+    """Mask of the reference frames within SILENCE_MARGIN_DB of the loudest;
+    raises when no frame qualifies, as for a digitally silent reference."""
+    active = energies > np.max(energies) * 10.0 ** (-SILENCE_MARGIN_DB / 10.0)
+    if not np.any(active):
+        raise ValueError(f"clean reference is silent; {metric} undefined")
+    return active
+
+
 def segmental_snr(clean: Waveform, enhanced: Waveform) -> float:
     """Mean per-frame SNR in dB, clamped to [-10, 35], silence excluded.
 
@@ -37,9 +46,7 @@ def segmental_snr(clean: Waveform, enhanced: Waveform) -> float:
 
     e_clean = _frame_energies(clean.samples, frame)
     e_err = _frame_energies(clean.samples - enhanced.samples, frame)
-    active = e_clean > np.max(e_clean) * 10.0 ** (-SILENCE_MARGIN_DB / 10.0)
-    if np.max(e_clean) <= 0 or not np.any(active):
-        raise ValueError("clean reference is silent; segmental SNR undefined")
+    active = _loud_frames(e_clean, "segmental SNR")
 
     with np.errstate(divide="ignore"):
         snr = 10.0 * np.log10(e_clean[active] / np.maximum(e_err[active], 1e-300))
@@ -50,8 +57,9 @@ def log_spectral_distance(clean: Waveform, enhanced: Waveform, frame_length: int
     """RMS log-magnitude gap in dB over energetic frames of the reference.
 
     Both signals are analyzed with the same STFT; frames whose clean energy
-    sits 40 dB under the loudest frame are skipped, then the per-bin natural
-    log differences are converted to dB (factor 20/ln 10) and RMS-pooled.
+    sits 40 dB under the loudest frame are skipped, as in segmental_snr, and
+    a silent reference is refused.  The per-bin natural log differences are
+    converted to dB (factor 20/ln 10) and RMS-pooled.
     """
     if len(clean) != len(enhanced) or clean.sample_rate != enhanced.sample_rate:
         raise ValueError("signals must share length and sample rate")
@@ -60,7 +68,6 @@ def log_spectral_distance(clean: Waveform, enhanced: Waveform, frame_length: int
     lc = log_spectra(sc)
     le = log_spectra(se)
 
-    energy = np.sum(np.maximum(np.abs(sc.frames), MAGNITUDE_FLOOR) ** 2, axis=1)
-    active = energy > np.max(energy) * 10.0 ** (-SILENCE_MARGIN_DB / 10.0)
+    active = _loud_frames(np.sum(np.abs(sc.frames) ** 2, axis=1), "log-spectral distance")
     diff = (20.0 / np.log(10.0)) * (lc[active] - le[active])
     return float(np.sqrt(np.mean(diff**2)))

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from nnmm.cli import UsageError, main, parse_config_file
+from nnmm.cli import build_parser, main
 from nnmm.corpus import load_corpus, mix_at_snr, step_white_noise, white_noise
 from nnmm.dsp import Waveform, read_wav, stft, write_wav
 from nnmm.enhancer import (
@@ -215,54 +215,53 @@ class TestWorkflow:
 
 
 # ---------------------------------------------------------------------------
-# Config files and flag precedence
+# Enhancer settings as flags
 # ---------------------------------------------------------------------------
 
 
 class TestConfig:
-    def test_parse_config_file(self, tmp_path):
-        """Values stay as strings; typing happens when the config is built."""
-        p = tmp_path / "enh.cfg"
-        p.write_text("# comment\nbeta = 3.0\nalpha=0.2\n\nestimator = mixmax-mmse\n")
-        cfg = parse_config_file(p)
-        assert cfg == {"beta": "3.0", "alpha": "0.2", "estimator": "mixmax-mmse"}
-
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "enh.cfg"
-        p.write_text("gamma = 1\n")
-        with pytest.raises(UsageError, match="gamma"):
-            parse_config_file(p)
-
-    def test_keys_are_enhancer_fields_but_frame_length(self, tmp_path):
-        """Every EnhancerConfig field is a key, except the frame length,
-        which the model bundle fixes."""
+    @pytest.mark.parametrize("command", ["enhance", "evaluate"])
+    def test_flags_are_enhancer_fields_but_frame_length(self, command):
+        """Every EnhancerConfig field is a flag of enhance and evaluate,
+        except the frame length, which the model bundle fixes."""
+        source = {"enhance": ["--in", "x.wav"], "evaluate": ["--corpus", "c"]}[command]
+        args = vars(build_parser().parse_args([command, "--bundle", "b", *source,
+                                               "--out", "o"]))
         names = [f.name for f in fields(EnhancerConfig) if f.name != "frame_length"]
-        p = tmp_path / "enh.cfg"
-        p.write_text("".join(f"{name} = 1\n" for name in names))
-        assert list(parse_config_file(p)) == names
-        p.write_text("frame_length = 512\n")
-        with pytest.raises(UsageError, match="frame_length"):
-            parse_config_file(p)
+        assert {name: args[name] for name in names} == dict.fromkeys(names)
+        assert "frame_length" not in args
 
-    def test_flag_overrides_config_file(self, workspace, tmp_path, capsys):
-        """--beta on the command line beats the config file's value."""
-        root, corpus, _, full = workspace
+    def test_beta_flag_sets_attenuation(self, workspace, tmp_path, capsys):
+        """--beta 0 passes the signal through; --beta 2.5 lowers its energy."""
+        _, corpus, _, full = workspace
         noisy = sorted(corpus.glob("*.wav"))[0]
-        cfg = tmp_path / "enh.cfg"
-        cfg.write_text("beta = 0.0\n")
 
         out_a = tmp_path / "a.wav"
         assert main(["enhance", "--bundle", str(full), "--in", str(noisy),
-                     "--out", str(out_a), "--config", str(cfg)]) == 0
+                     "--out", str(out_a), "--beta", "0"]) == 0
         out_b = tmp_path / "b.wav"
         assert main(["enhance", "--bundle", str(full), "--in", str(noisy),
-                     "--out", str(out_b), "--config", str(cfg), "--beta", "2.5"]) == 0
+                     "--out", str(out_b), "--beta", "2.5"]) == 0
 
         a = read_wav(out_a)
         b = read_wav(out_b)
-        # beta=0 passes the signal through; beta=2.5 attenuates noise
         np.testing.assert_allclose(a.samples, read_wav(noisy).samples, atol=2e-4)
         assert np.mean(b.samples**2) < np.mean(a.samples**2)
+
+    @pytest.mark.parametrize("command", ["enhance", "evaluate"])
+    def test_config_file_flag_is_gone(self, workspace, tmp_path, capsys, command):
+        """The settings are given only as flags; --config is an unrecognized
+        argument."""
+        _, corpus, _, full = workspace
+        cfg = tmp_path / "enh.cfg"
+        cfg.write_text("posterior_source = generative\n")
+        out = tmp_path / "out"
+        source = {"enhance": ["--in", str(sorted(corpus.glob("*.wav"))[0])],
+                  "evaluate": ["--corpus", str(corpus), "--snr", "0"]}[command]
+        assert main([command, "--bundle", str(full), *source, "--out", str(out),
+                     "--config", str(cfg)]) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

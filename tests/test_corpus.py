@@ -1,6 +1,7 @@
 """Synthetic corpus generation, noise mixing, and corpus storage."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ class TestEnvelopes:
     def test_mismatched_bandwidths_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
             ClassEnvelope(formants=(500.0,), bandwidths=(80.0, 90.0))
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"formants": (np.nan,)}, "formants and bandwidths must be finite and positive"),
+        ({"formants": (-500.0,)}, "formants and bandwidths must be finite and positive"),
+        ({"bandwidths": (np.inf,)}, "formants and bandwidths must be finite and positive"),
+        ({"bandwidths": (np.nan,)}, "formants and bandwidths must be finite and positive"),
+        ({"floor": np.nan}, "floor must be finite and positive"),
+        ({"floor": np.inf}, "floor must be finite and positive"),
+        ({"floor": 0.0}, "floor must be finite and positive"),
+    ], ids=["nan-formant", "negative-formant", "infinite-bandwidth", "nan-bandwidth",
+            "nan-floor", "infinite-floor", "zero-floor"])
+    def test_bad_shape_rejected(self, kwargs, message):
+        """Refused by name when the envelope is made, not later as a
+        non-finite waveform or a silently flat gain."""
+        with pytest.raises(ValueError, match=message):
+            ClassEnvelope(**{"formants": (500.0,), "bandwidths": (80.0,), **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +174,28 @@ class TestSynthesis:
         concatenation, a reversed uniform draw or a division by zero."""
         with pytest.raises(ValueError, match=f"{name} must be finite with 0 < low <= high"):
             SyntheticCorpusSpec(envelopes=default_envelopes(3), **{name: bounds})
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"sample_rate": 0}, "sample_rate must be positive"),
+        ({"sample_rate": -16000}, r"sample_rate must lie in \[0, 2\*\*32\), got -16000"),
+        ({"sample_rate": 16000.0}, "sample_rate must be an integer, got float"),
+        ({"sample_rate": "16000"}, "sample_rate must be an integer, got str"),
+        ({"utterance_seconds": (1e-5, 1e-5)}, "utterance_seconds must start at one sample"),
+        ({"utterance_seconds": (0.5, 1.0), "sample_rate": 1},
+         "utterance_seconds must start at one sample"),
+    ], ids=["zero-rate", "negative-rate", "float-rate", "str-rate", "under-one-sample",
+            "under-one-sample-at-1-Hz"])
+    def test_bad_setting_rejected(self, kwargs, message):
+        """Refused by name when the spec is made, not later as an empty
+        concatenation in synthesize_corpus."""
+        with pytest.raises(ValueError, match=message):
+            SyntheticCorpusSpec(envelopes=default_envelopes(3), **kwargs)
+
+    def test_one_sample_utterance_seconds_accepted(self):
+        """A low end of exactly one sample draws one segment."""
+        spec = replace(small_spec(), utterance_seconds=(1 / 16000, 1 / 16000))
+        utt = synthesize_corpus(spec, 1)[0]
+        assert len(set(utt.frame_labels.tolist())) == 1
 
 
 # ---------------------------------------------------------------------------

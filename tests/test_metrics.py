@@ -122,6 +122,12 @@ class TestLogSpectralDistance:
         assert log_spectral_distance(wav(clean), wav(a)) < log_spectral_distance(
             wav(clean), wav(b))
 
+    def test_silent_reference_rejected(self):
+        """A digitally silent reference has no energetic frame to score."""
+        noise = np.random.default_rng(9).standard_normal(3000)
+        with pytest.raises(ValueError, match="clean reference is silent"):
+            log_spectral_distance(wav(np.zeros(3000)), wav(noise))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             log_spectral_distance(wav(np.ones(4000)), wav(np.ones(4001)))
