@@ -64,10 +64,18 @@ class ClassEnvelope:
         return g
 
 
+def _check_sample_rate(sample_rate) -> None:
+    """Refuse a sample rate that is not a positive integer, by name."""
+    check_unsigned("sample_rate", sample_rate, 32)
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+
+
 def default_envelopes(n_classes: int, sample_rate: int = 16000) -> tuple[ClassEnvelope, ...]:
     """Distinct two-formant envelopes spread across the band."""
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
+    _check_sample_rate(sample_rate)
     nyquist = sample_rate / 2.0
     envs = []
     for i in range(n_classes):
@@ -98,9 +106,7 @@ class SyntheticCorpusSpec:
             raise ValueError("need at least 2 classes")
         if len({e.formants for e in self.envelopes}) != len(self.envelopes):
             raise ValueError("class envelopes must be distinct")
-        check_unsigned("sample_rate", self.sample_rate, 32)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        _check_sample_rate(self.sample_rate)
         check_frame_length(self.frame_length)
         for name in ("utterance_seconds", "amp_jitter"):
             low, high = getattr(self, name)

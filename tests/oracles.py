@@ -22,7 +22,7 @@ from nnmm.dsp import (
     log_spectra,
     reconstruct_frame,
 )
-from nnmm.enhancer import EnhancementReport, noise_prefix_frames
+from nnmm.enhancer import NOISE_STEP, EnhancementReport, noise_prefix_frames
 from nnmm.features import feature_matrix
 from nnmm.mixmax import (
     MixmaxDiagnostics,
@@ -142,11 +142,13 @@ def istft_by_frame(s):
     return out
 
 
-def enhance_by_frame(w, mog, net, cfg):
+def enhance_by_frame(w, mog, net, cfg, step=NOISE_STEP):
     """The enhancer with every step inside one frame loop: per-frame NN
     forward, speech and noise sides, posterior check, SPP, estimate,
     adaptation and reconstruction.  Every frame adapts the noise, at
     ``cfg.alpha = 0`` too, where the update returns the model it was given.
+    Frame t's dominance reads the model held at frame ``step * (t // step)``,
+    so ``step = 1`` reads the model the frame before it updated.
     Returns ``(samples, EnhancementReport)``."""
     spec = stft_by_gather(w, cfg.frame_length)
     logspecs = log_spectra(spec)
@@ -161,7 +163,9 @@ def enhance_by_frame(w, mog, net, cfg):
     for t in range(spec.n_frames):
         z = logspecs[t]
         speech = speech_terms(z, mog)
-        rho, h = speech_dominance(z, speech, noise, undecidable)
+        if t % step == 0:
+            held = noise
+        rho, h = speech_dominance(z, speech, held, undecidable)
         if cfg.posterior_source == "nn":
             p = forward(net, feats[t])
         else:

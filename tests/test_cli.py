@@ -382,6 +382,17 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["0", "-16000"])
+    def test_synth_corpus_bad_sample_rate_is_named(self, tmp_path, capsys, rate):
+        """A sample rate that is not positive is a usage error that names
+        the sample rate, and no file is written."""
+        out = tmp_path / "corpus"
+        assert main(["synth-corpus", "--out", str(out), "--utterances", "1",
+                     "--sample-rate", rate]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "sample_rate" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("meta", ["n_utterances=6\nn_classes=3\nframe_length=512\n",
                                       "n_utterances=0\nn_classes=3\nframe_length=512\n"
                                       "sample_rate=16000\n",

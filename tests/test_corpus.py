@@ -48,6 +48,17 @@ class TestEnvelopes:
         envs = default_envelopes(8)
         assert len({e.formants for e in envs}) == 8
 
+    @pytest.mark.parametrize("sample_rate,message", [
+        (0, "sample_rate must be positive"),
+        (-16000, r"sample_rate must lie in \[0, 2\*\*32\), got -16000"),
+        (16000.0, "sample_rate must be an integer, got float"),
+    ], ids=["zero-rate", "negative-rate", "float-rate"])
+    def test_bad_sample_rate_rejected(self, sample_rate, message):
+        """Refused by name, as SyntheticCorpusSpec refuses it, before the
+        formants are scaled to the band."""
+        with pytest.raises(ValueError, match=message):
+            default_envelopes(3, sample_rate)
+
     def test_mismatched_bandwidths_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
             ClassEnvelope(formants=(500.0,), bandwidths=(80.0, 90.0))

@@ -309,6 +309,8 @@ class TestComposition:
     def replay_full_loop(setup, posterior_source):
         """Replaying dominance -> posterior -> SPP -> subtract -> adapt by hand
         reproduces the report exactly and keeps every frame within bounds.
+        Each frame's dominance reads the noise model held at the start of
+        its step of NOISE_STEP frames; every frame adapts it.
 
         A stretch of digital silence makes the max density underflow in some
         bins, so the fallback counters have something to count.
@@ -325,7 +327,9 @@ class TestComposition:
         mean_spp = np.empty(spec.n_frames)
         for t in range(spec.n_frames):
             z = logs[t]
-            rho, h = speech_dominance(z, speech_terms(z, mog), noise, undecidable)
+            if t % enhancer.NOISE_STEP == 0:
+                held = noise
+            rho, h = speech_dominance(z, speech_terms(z, mog), held, undecidable)
             if posterior_source == "nn":
                 p = forward(net, feats[t])
             else:
@@ -408,15 +412,16 @@ class TestHoisting:
     def test_reference_mode_matches_frame_loop(self, setup, inputs):
         """The reference mode takes a block of frames per step; its whole
         report equals the per-frame loop's, and its final noise is the
-        prefix model.  Three rows make blocks of 21 frames, and the silence
-        gap of two of them spans a block boundary."""
+        prefix model.  Three rows make blocks of 16 frames (64 // 3 rounded
+        down to a multiple of NOISE_STEP), and the whole silent frames of two
+        of them lie inside one block."""
         mog, _, clean, noisy = setup
         if inputs == "three-rows":
             waves = noisy_rows(clean, [(1, 0.0, False, False), (2, 5.0, True, True),
                                        (3, 10.0, False, True)])
-            pad, hop, block = edge_padding(512), 512 // 4, enhancer.SPEECH_BLOCK // 3
+            pad, hop, block = edge_padding(512), 512 // 4, row_block(3)
             first, last = -(-(GAP[0] + pad) // hop), (GAP[1] + pad - 512) // hop
-            assert block == 21 and first // block < last // block  # whole silent frames
+            assert block == 16 and first // block == last // block  # whole silent frames
         else:
             waves = [named_input(inputs, clean, noisy)]
 
@@ -470,7 +475,8 @@ class TestHoisting:
 
     def test_noise_independent_work_runs_once(self, setup, monkeypatch):
         """One utterance: one NN forward, one subtraction and one
-        reconstruction over all frames; dominance and adaptation per frame."""
+        reconstruction over all frames; dominance once per step of
+        NOISE_STEP frames, adaptation per frame."""
         mog, net, _, noisy = setup
         calls = count_calls(monkeypatch, ("forward", "reconstruct_frame", "soft_subtract",
                                           "speech_dominance", "adapt"))
@@ -478,22 +484,26 @@ class TestHoisting:
         n = report.frames_processed
         assert n > enhancer.SPEECH_BLOCK  # more than one block of frames
         assert calls == {"forward": 1, "reconstruct_frame": 1, "soft_subtract": 1,
-                         "speech_dominance": n, "adapt": n}
+                         "speech_dominance": -(-n // enhancer.NOISE_STEP), "adapt": n}
 
     @pytest.mark.parametrize("estimator,posterior_source", MODES)
     def test_steps_per_frame_when_the_noise_adapts(self, setup, monkeypatch,
                                                    estimator, posterior_source):
-        """Each frame reads the noise the previous one updated, so the
-        noise-side steps run once per frame; the truncated mean, which does
-        not read the noise, once per block."""
+        """A step's frames read the noise as it stood before the first of
+        them, so the noise-side steps run once per NOISE_STEP frames and the
+        update once per frame; the truncated mean, which does not read the
+        noise, once per block.  Blocks hold whole steps, so the steps number
+        ceil(n / NOISE_STEP)."""
         mog, net, _, noisy = setup
         calls = count_calls(monkeypatch, ("speech_dominance", "generative_posterior",
                                           "conditional_mean_below", "adapt"))
         cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
         n = enhance_utterance(noisy, mog, net, cfg)[1].frames_processed
-        expected = {"speech_dominance": n, "adapt": n}
+        steps = -(-n // enhancer.NOISE_STEP)
+        assert n % enhancer.NOISE_STEP  # a short last step
+        expected = {"speech_dominance": steps, "adapt": n}
         if posterior_source == "generative":
-            expected["generative_posterior"] = n
+            expected["generative_posterior"] = steps
         if estimator == "mixmax-mmse":
             expected["conditional_mean_below"] = -(-n // enhancer.SPEECH_BLOCK)
         assert calls == expected
@@ -513,6 +523,35 @@ class TestHoisting:
 
 
 # ---------------------------------------------------------------------------
+# The noise step
+# ---------------------------------------------------------------------------
+
+
+class TestNoiseStep:
+    @pytest.mark.parametrize("estimator,posterior_source", MODES)
+    def test_step_of_one_is_the_per_frame_recursion(self, setup, monkeypatch,
+                                                     estimator, posterior_source):
+        """With NOISE_STEP = 1 each frame reads the model the frame before it
+        updated: one-row runs and a batch of three rows, on the white, step
+        and silence-gap inputs, equal the frame loop at step 1 bit for bit.
+        At the default step the white input's SPP differs from it."""
+        mog, net, clean, noisy = setup
+        per_frame_forward(monkeypatch)
+        cfg = EnhancerConfig(estimator=estimator, posterior_source=posterior_source)
+        waves = [named_input(name, clean, noisy) for name in ("white", "step", "silence-gap")]
+        expected = [enhance_by_frame(w, mog, net, cfg, step=1) for w in waves]
+        lagged = enhance_utterance(waves[0], mog, net, cfg)[1]
+        assert not np.array_equal(lagged.frame_mean_spp, expected[0][1].frame_mean_spp)
+
+        monkeypatch.setattr(enhancer, "NOISE_STEP", 1)
+        batched = enhance_batch(waves, mog, net, cfg)
+        for w, got, (samples, ref) in zip(waves, batched, expected, strict=True):
+            want = (Waveform(samples=samples, sample_rate=w.sample_rate), ref)
+            assert_same_row(enhance_utterance(w, mog, net, cfg), want)
+            assert_same_row(got, want)
+
+
+# ---------------------------------------------------------------------------
 # Batched rows against one-row runs
 # ---------------------------------------------------------------------------
 
@@ -526,6 +565,13 @@ def noisy_rows(clean, rows):
         w = mix_at_snr(clean, maker(len(clean), clean.sample_rate, seed=seed), snr)
         waves.append(with_silence_gap(w) if gap else w)
     return waves
+
+
+def row_block(rows):
+    """Frames per speech-side block of a batch of ``rows``: SPEECH_BLOCK //
+    rows, rounded down to a multiple of NOISE_STEP and never below it."""
+    step = enhancer.NOISE_STEP
+    return max(step, enhancer.SPEECH_BLOCK // rows // step * step)
 
 
 def assert_same_row(got, expected):
@@ -571,8 +617,9 @@ class TestBatching:
         assert alone[0].tail_fallbacks > alone[1].tail_fallbacks
 
     def test_one_recursion_for_all_rows(self, setup, monkeypatch):
-        """Three rows: dominance and adaptation once per frame for all of
-        them; the forward pass and reconstruction once per row."""
+        """Three rows: dominance once per step of NOISE_STEP frames and
+        adaptation once per frame for all of them; the forward pass and
+        reconstruction once per row."""
         mog, net, _, noisy = setup
         calls = count_calls(monkeypatch, ("forward", "reconstruct_frame", "soft_subtract",
                                           "speech_dominance", "adapt"))
@@ -582,7 +629,7 @@ class TestBatching:
         pairs = enhance_batch(waves, mog, net, EnhancerConfig())
         n = pairs[0][1].frames_processed
         assert calls == {"forward": 3, "reconstruct_frame": 3, "soft_subtract": 1,
-                         "speech_dominance": n, "adapt": n}
+                         "speech_dominance": -(-n // enhancer.NOISE_STEP), "adapt": n}
 
     def test_posteriors_checked_before_the_recursion(self, setup, monkeypatch):
         """A classifier weight that turned NaN after construction gives NaN
@@ -643,7 +690,7 @@ class TestSpeechSideWorker:
         mog, net, clean, noisy = setup
         waves = [with_silence_gap(noisy)] if rows == 1 else noisy_rows(
             clean, [(1, 0.0, False, False), (2, 5.0, True, True), (3, 10.0, False, True)])
-        block = enhancer.SPEECH_BLOCK // rows
+        block = row_block(rows)
         per_frame_forward(monkeypatch)
         cfg = EnhancerConfig(alpha=alpha, estimator=estimator, posterior_source=posterior_source)
         got = enhance_batch(waves, mog, net, cfg)
@@ -827,8 +874,9 @@ class TestSpeechSideWorker:
         assert len(there) <= 1
 
     def test_worker_joined_on_return_and_on_error(self, setup, monkeypatch):
-        """No thread outlives a call, nor a call that fails at frame 100,
-        in the second block, while the worker has the third."""
+        """No thread outlives a call, nor a call that fails at the step
+        that holds frame 100, in the second block, while the worker has the
+        third."""
         mog, net, _, noisy = setup
         baseline = threading.active_count()
         enhance_utterance(noisy, mog, net, EnhancerConfig())
@@ -837,8 +885,8 @@ class TestSpeechSideWorker:
         spp, frames = enhancer.weighted_spp, []
 
         def fails_at_frame_100(posterior, rho):
-            frames.append(None)
-            if len(frames) == 100:
+            frames.append(len(posterior))
+            if sum(frames) > 100:
                 raise RuntimeError("frame 100")
             return spp(posterior, rho)
 
@@ -846,6 +894,7 @@ class TestSpeechSideWorker:
         with pytest.raises(RuntimeError, match="frame 100"):
             enhance_utterance(noisy, mog, net, EnhancerConfig())
         assert threading.active_count() == baseline
+        assert 100 < sum(frames) <= 100 + enhancer.NOISE_STEP
 
     def test_outputs_equal_under_fast_switching(self, setup):
         """Thread switches every microsecond interleave the worker with the
@@ -1004,6 +1053,48 @@ class TestNoiseTracking:
         d_start = np.abs(start.mu - late).mean()
         d_final = np.abs(report.noise.mu - late).mean()
         assert d_final < 0.5 * d_start
+
+    def test_lagged_steps_track_a_noise_step(self, setup, monkeypatch):
+        """A +8 dB white-noise step at 2 s of 4 s, alone and under speech at
+        5 dB after a 0.5 s lead-in, over five seeds.  Counted from the first
+        frame that reaches the step, the frames until the mean noise mu has
+        covered 90% of it average at most NOISE_STEP + 2 more than with a
+        step of one frame."""
+        mog, net, _, _ = setup
+        rate, split, step_db = 16000, 32000, 8.0
+        first = (split + edge_padding(512) - 512) // 128 + 1
+        means = []
+
+        def recorded(*args, **kwargs):
+            model = adapt(*args, **kwargs)
+            means.append(model.mu.mean())
+            return model
+
+        def frames_to_cover(w):
+            means.clear()
+            enhance_utterance(w, mog, net, EnhancerConfig())
+            goal = means[first - 1] + 0.9 * step_db / 20 * np.log(10)
+            return next((k + 1 for k, m in enumerate(means[first:]) if m >= goal), len(means))
+
+        inputs = {"noise only": [], "speech at 5 dB": []}
+        for seed in range(1, 6):
+            noise = step_white_noise(2 * split, rate, seed=seed, step_db=step_db)
+            speech = synthesize_corpus(SyntheticCorpusSpec(envelopes=default_envelopes(3),
+                                                           utterance_seconds=(3.5, 3.5),
+                                                           seed=100 + seed), 1)[0].waveform
+            clean = Waveform(samples=np.concatenate([np.zeros(len(noise) - len(speech)),
+                                                     speech.samples]), sample_rate=rate)
+            inputs["noise only"].append(noise)
+            inputs["speech at 5 dB"].append(mix_at_snr(clean, noise, 5.0))
+
+        monkeypatch.setattr(enhancer, "adapt", recorded)
+        step = enhancer.NOISE_STEP
+        for name, waves in inputs.items():
+            lagged = np.mean([frames_to_cover(w) for w in waves])
+            monkeypatch.setattr(enhancer, "NOISE_STEP", 1)
+            per_frame = np.mean([frames_to_cover(w) for w in waves])
+            monkeypatch.setattr(enhancer, "NOISE_STEP", step)
+            assert lagged <= per_frame + step + 2, name
 
     def test_prefix_frame_count(self):
         cfg = EnhancerConfig(noise_prefix=0.25)
