@@ -7,6 +7,13 @@ exactly constant 2.0 and the interior round trip is lossless up to float
 error.  The input is zero-padded by ``frame_length - hop`` on both ends so
 every original sample receives full window coverage.
 
+Both transforms are split at the frame: :func:`stft` is :func:`analyse` of
+:func:`frame_signal`, and :func:`istft` is :func:`overlap_add` of
+:func:`synthesise`.  :func:`analyse`, :func:`synthesise` and
+:func:`log_magnitude` work on each frame on its own, so any slice of the
+frames, formed alone and on any thread, is that slice of the whole, bit for
+bit.
+
 The window is scipy's periodic-Hann formula written out in numpy, built once
 per frame length and shared read-only.  Importing ``scipy.signal`` for it
 would cost about 47 MB of resident memory and 0.9 s, a third of an
@@ -128,8 +135,9 @@ def num_frames(n_samples: int, frame_length: int) -> int:
     return (padded - frame_length) // hop + 1 + (1 if (padded - frame_length) % hop else 0)
 
 
-def stft(w: Waveform, frame_length: int = 512) -> ComplexSpectrogram:
-    """Windowed one-sided STFT at 75% overlap.
+def frame_signal(w: Waveform, frame_length: int) -> np.ndarray:
+    """The frames :func:`stft` transforms: the zero-padded signal at 75%
+    overlap, a read-only (n_frames, frame_length) view.
 
     Raises ValueError for a frame length :func:`check_frame_length` refuses
     and for an input shorter than one frame.
@@ -144,25 +152,52 @@ def stft(w: Waveform, frame_length: int = 512) -> ComplexSpectrogram:
     # Round the tail up to the hop grid so trailing samples are fully covered.
     tail = pad + (-(len(x) + 2 * pad - frame_length)) % hop
     xp = np.concatenate([np.zeros(pad), x, np.zeros(tail)])
-
-    win = analysis_window(frame_length)
-    windows = sliding_window_view(xp, frame_length)[::hop]
-    frames = np.fft.rfft(windows * win, axis=1)
-    return ComplexSpectrogram(frames=frames, frame_length=frame_length)
+    return sliding_window_view(xp, frame_length)[::hop]
 
 
-def istft(s: ComplexSpectrogram) -> np.ndarray:
-    """Weighted overlap-add inverse.
+def analyse(windows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One-sided spectrum of each windowed frame of :func:`frame_signal`,
+    (n, frame_length) -> (n, frame_length // 2 + 1), into ``out`` if given.
+
+    Each frame is transformed on its own, so the spectra of a slice of the
+    frames are that slice of the spectra, bit for bit.
+    """
+    return np.fft.rfft(windows * analysis_window(windows.shape[1]), axis=1, out=out)
+
+
+def stft(w: Waveform, frame_length: int = 512) -> ComplexSpectrogram:
+    """Windowed one-sided STFT at 75% overlap: :func:`analyse` of
+    :func:`frame_signal`.
+
+    Raises ValueError for a frame length :func:`check_frame_length` refuses
+    and for an input shorter than one frame.
+    """
+    return ComplexSpectrogram(frames=analyse(frame_signal(w, frame_length)),
+                              frame_length=frame_length)
+
+
+def synthesise(frames: np.ndarray, frame_length: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The windowed inverse transform of each one-sided frame,
+    (n, frame_length // 2 + 1) -> (n, frame_length), into ``out`` if given:
+    the segments :func:`overlap_add` sums.  Frame by frame, as
+    :func:`analyse` is."""
+    segs = np.fft.irfft(frames, n=frame_length, axis=1, out=out)
+    segs *= analysis_window(frame_length)
+    return segs
+
+
+def overlap_add(segs: np.ndarray) -> np.ndarray:
+    """Weighted overlap-add of the (n_frames, frame_length) segments of
+    :func:`synthesise`, at a hop of a quarter frame.
 
     Returns ``(n_frames - 1) * hop + frame_length`` samples in the padded
     coordinate system of :func:`stft`; slice with :func:`edge_padding` to
     recover original-signal alignment.
     """
-    if s.n_frames == 0:
-        raise ValueError("empty spectrogram")
-    L, hop, n = s.frame_length, s.hop, s.n_frames
+    n, L = segs.shape
+    hop = L // 4
     win = analysis_window(L)
-    segs = np.fft.irfft(s.frames, n=L, axis=1) * win
     power = win * win
     # Rows are hop-long output blocks; frame i covers blocks i .. i+overlap-1.
     overlap = -(-L // hop)
@@ -183,9 +218,25 @@ def istft(s: ComplexSpectrogram) -> np.ndarray:
     return out
 
 
+def istft(s: ComplexSpectrogram) -> np.ndarray:
+    """Weighted overlap-add inverse: :func:`overlap_add` of
+    :func:`synthesise`, with the same sample count and alignment."""
+    if s.n_frames == 0:
+        raise ValueError("empty spectrogram")
+    return overlap_add(synthesise(s.frames, s.frame_length))
+
+
+def log_magnitude(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Floored log-magnitude of complex frames, elementwise, into ``out``
+    if given."""
+    mag = np.abs(frames)
+    np.maximum(mag, MAGNITUDE_FLOOR, out=mag)
+    return np.log(mag, out=mag if out is None else out)
+
+
 def log_spectra(s: ComplexSpectrogram) -> np.ndarray:
     """Log-magnitude of every frame, shape (n_frames, n_bins)."""
-    return np.log(np.maximum(np.abs(s.frames), MAGNITUDE_FLOOR))
+    return log_magnitude(s.frames)
 
 
 def reconstruct_frame(xhat: np.ndarray, noisy_frame: np.ndarray) -> np.ndarray:

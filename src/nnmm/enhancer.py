@@ -6,15 +6,16 @@ private functions that :func:`_run` calls in turn and that pass plain arrays:
 * :func:`_precompute`, over all frames, does the work that does not depend
   on the noise: STFT and log-spectra, the noise model of the prefix, and the
   MFCC features and the classifier's posteriors in one batched forward pass;
-  before the features it starts a worker thread on the speech side;
+  before the features it starts the worker thread on the speech side;
 * :func:`_recursion` runs the frames in time order.  A block of frames at a
   time it takes the speech side of the max model, f and F, and, for the
   MMSE estimator, forms the truncated means from them; then, step by step,
   the noise side of the dominance, the generative posterior where the mode
   uses it, the SPP (and the MMSE estimate), and the SPP-gated noise update;
-* the tail, over all frames at once: soft subtraction and reconstruction,
-  which :func:`_run` does itself so that it drops each whole-utterance
-  array once used, then :func:`_tail`'s overlap-add and reports.
+* the tail, over all frames at once: :func:`_synthesis` forms the soft
+  subtraction (or takes the MMSE estimate), the reconstruction with the
+  noisy phase and each frame's windowed inverse transform, then
+  :func:`_tail` the overlap-add and the reports.
 
 When the noise adapts, the recursion takes ``NOISE_STEP`` = 8 frames per
 step: the dominance, posterior, SPP and MMSE estimate of the step's frames
@@ -32,34 +33,55 @@ depends on another: a step takes the whole block and skips the update.
 Both modes make the same calls on (T, B, ...) arrays, and at ``alpha = 0``,
 or with ``NOISE_STEP = 1``, the results are the per-frame ones bit for bit.
 
-f and F read only the observation and the mixture, so one worker thread
-forms them, :func:`speech_terms` of one block (``SPEECH_BLOCK`` = 64
-frame-rows) per task, ahead of the frames the main thread steps through.
+One worker thread shares every stage that does not read the noise model;
+each piece it takes works frame by frame or element by element, so the
+thread that forms a piece changes no value.  It takes:
+
+* half of the analysis.  :func:`_analysis` submits the later half of each
+  row's frames first, :func:`analyse` and :func:`log_magnitude` of them,
+  and the main thread forms the earlier half;
+* the speech side, f and F, which read only the observation and the
+  mixture: :func:`speech_terms` of one block (``SPEECH_BLOCK`` = 64
+  frame-rows) per task, ahead of the frames the main thread steps through;
+* half of the synthesis.  :func:`_synthesis` splits the frames as the
+  analysis does, and the main thread then runs one overlap-add per row,
+  :func:`overlap_add`, in ascending frame order, as :func:`istft` does.
+
 The block is the one unit of speech-side work: the worker forms it, the
 truncated means are formed over it, and at ``alpha = 0`` one step takes it.
 With B rows a block is ``SPEECH_BLOCK // B`` frames, rounded down to a
-multiple of ``NOISE_STEP`` and never below it.
-The worker starts as soon as its input exists: once the log-spectra are
-checked, :func:`_precompute` submits the first ``SPEECH_AHEAD`` blocks, and
-only then forms the features and runs the classifier, so the worker runs
-through the forward pass instead of waiting for the recursion.  Each block
-the recursion takes submits the next, so at most ``SPEECH_AHEAD`` blocks
-are submitted and not used up; eight blocks of 64 frame-rows hold about
-10.5 MB of f and F.  The main thread never waits for the worker: a block
-the worker has not finished is formed on the main thread, which first
-cancels it, so only the block the worker is inside can be formed twice,
-and a worker held up by a busy core never holds up the recursion.  Only
-that stage moves: it is elementwise, so the thread that forms a block
-changes no value, and everything else, the truncated means included, stays
-on the main thread.  The blocks must be large.  Every ufunc call on the
-worker releases the GIL and must take it back from the main thread, which
-holds it between its many small calls, so a task of a few large calls
-overlaps the recursion where many small ones would spend the overlap on
-handoffs.  The worker runs in the caller's ``contextvars`` context, so
-an ``np.errstate`` around the call applies there too.  :func:`_run` owns
-it: however the call ends, the blocks the worker has not started are
-cancelled, and it is joined once it has finished the one it is inside,
-before :func:`_run` returns or raises.
+multiple of ``NOISE_STEP`` and never below it.  Once the log-spectra are
+checked, :func:`_precompute` submits as many whole blocks as
+``SPEECH_AHEAD`` frame-rows hold, and only then forms the features and runs
+the classifier, so the worker runs through the forward pass instead of
+waiting for the recursion.  Each block the recursion takes submits the
+next, so no more than that are submitted and not used up; f and F take
+about 20.6 KB a frame-row (m = 5, K = 257).
+
+The main thread never waits for a piece the worker has not started: it
+cancels it and forms it itself.  For the speech side it does not wait for
+the block the worker is inside either, but forms that one too, so only
+that block can be formed twice and a worker held up by a busy core never
+holds up the recursion.  Of the analysis and the synthesis, whose halves
+the worker writes into the arrays the main thread reads, the main thread
+forms its own half, then the worker's halves that are not started, from
+the last, and waits only for the one half the worker is inside, if any.
+The truncated means, the recursion, the features and the forward pass stay
+on the main thread.
+
+The worker's tasks must be large.  Every ufunc call on the worker releases
+the GIL and must take it back from the main thread, which holds it
+between its many small calls, so a task of a few large calls overlaps the
+recursion where many small ones would spend the overlap on handoffs.  The
+worker runs in the caller's ``contextvars`` context, so an ``np.errstate``
+around the call applies there too (numpy keeps that state in a context
+variable since 2.0).  It calls :func:`soft_subtract` and
+:func:`reconstruct_frame` through their own modules, not through this
+module's names, so a wrapper put on this module's names, as a tracer does,
+sees the main thread's calls alone.  :func:`_run` owns the worker from the
+analysis to the end of the synthesis: however the call ends, the pieces
+the worker has not started are cancelled, and it is joined once it has
+finished the one it is inside, before :func:`_run` returns or raises.
 
 The recursion's steps check nothing, and both modes make the same calls:
 :func:`speech_dominance` forms the step's ``(rho, h)``, and the SPP and
@@ -113,21 +135,31 @@ from __future__ import annotations
 
 import contextvars
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import dsp, mixmax
+# stft, log_spectra and istft are not called here: the enhancer runs their
+# parts, analyse, log_magnitude, synthesise and overlap_add.  The names stay
+# importable from this module, where the benchmark's tracer looks for them.
 from .dsp import (
     ComplexSpectrogram,
     Waveform,
+    analyse,
     check_frame_length,
     edge_padding,
+    frame_signal,
     istft,
+    log_magnitude,
     log_spectra,
+    overlap_add,
     reconstruct_frame,
     stft,
+    synthesise,
 )
 from .features import feature_matrix
 from .mixmax import (
@@ -164,16 +196,21 @@ REFERENCE_MODE = {"alpha": 0.0, "estimator": "mixmax-mmse", "posterior_source": 
 # 0.79 with tasks of 64.
 SPEECH_BLOCK = 64
 
-# Most blocks submitted to the worker and not yet used up by the recursion.
-# The worker starts before the classifier's forward pass and gets ahead by
-# as many blocks as that pass gives it time for, up to this bound.  Paired
-# in-process timings on a 2-vCPU VM, one BLAS thread, 40 alternating runs
-# per value, as ratios to 8 blocks, for 4 and 12: a 12 s default-mode
-# utterance 1.07-1.10 and 1.00; a 5 s reference-mode one, which has no
-# forward pass, 1.01 and 1.00; six batched 1.75 s rows 1.07 and 0.94.
-# Eight blocks of 64 frame-rows (m = 5, K = 257) hold about 10.5 MB of f and
-# F; twelve hold half as much again for a gain on batches alone.
-SPEECH_AHEAD = 8
+# Most frame-rows of speech-side blocks submitted to the worker and not yet
+# used up by the recursion, rounded down to whole blocks (at least one): 12
+# blocks of 64 frames at one row, 16 blocks of 8 frames at six.  The worker
+# starts before the classifier's forward pass and gets ahead by as many
+# blocks as that pass gives it time for, up to this bound; a bound in
+# frame-rows lets a batch look ahead as far as one row does.  f and F take
+# 20.6 KB a frame-row (m = 5, K = 257), so 768 hold 15.8 MB and 1024 hold
+# 21.1 MB.  Over 10 alternating 25 s benchmark pairs on a 2-vCPU VM, one BLAS
+# thread, 768 against 1024 read short_grid's median throughput 77.96 and
+# 76.72 s/s (768 faster in 6 pairs) with peak memory about 2 MB lower, and
+# long_white was level over 4 pairs.  In process, short_grid's main thread
+# then formed a median of 18 of its 1332 frame-rows (0 at 1024); with a
+# bound of eight blocks, 384 frame-rows for six rows, and a serial
+# analysis it formed 624.
+SPEECH_AHEAD = 768
 
 # Frames per step of the adaptive recursion, 64 ms at the 8 ms hop: the
 # step's frames read the noise model as it stood before the first of them,
@@ -294,12 +331,54 @@ def _nn_posteriors(
     return forward(net, feats)
 
 
-def _time_major(rows: list[np.ndarray]) -> np.ndarray:
-    """The (N, ...) arrays of B rows as one (N, B, 1, ...) array; a single
-    row is viewed, not copied."""
-    if len(rows) == 1:
-        return rows[0][:, np.newaxis, np.newaxis]
-    return np.stack(rows, axis=1)[:, :, np.newaxis]
+def _share(pool: ThreadPoolExecutor, rows: int, n_frames: int, here: Callable,
+           there: Callable) -> None:
+    """Form every row's frames in two parts, one on each thread.
+
+    ``here(b, at)`` and ``there(b, at)`` form the frames ``at`` of row
+    ``b`` on the calling thread and on ``pool``'s worker; they do the same
+    work, row by row or element by element, so the thread that forms a
+    part changes no value.  The later half of every row is submitted to the
+    worker first, in the caller's context, and the calling thread then forms
+    the earlier halves.  After that it cancels, from the last, each part
+    the worker has not started and forms it with ``here``; so it waits only
+    for the one part the worker is inside, if any, and a worker error is
+    raised here.  The parts still queued when ``here`` raises are left to
+    ``pool``'s shutdown.
+    """
+    mid = n_frames // 2
+    theirs = [(b, slice(mid, n_frames)) for b in range(rows)]
+    futures = [pool.submit(contextvars.copy_context().run, there, *part) for part in theirs]
+    for b in range(rows):
+        here(b, slice(0, mid))
+    started = []
+    for part, future in reversed(list(zip(theirs, futures))):
+        if future.cancel():
+            here(*part)
+        else:
+            started.append(future)
+    for future in started:
+        future.result()
+
+
+def _analysis(pool: ThreadPoolExecutor, waves: list[Waveform],
+              frame_length: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rows' log-spectra, time-major (N, B, 1, K), and their STFT
+    frames, one (N, K) array per row, formed on both threads by
+    :func:`_share`: :func:`analyse` and :func:`log_magnitude` work frame by
+    frame, so they equal :func:`stft` and :func:`log_spectra` bit for bit.
+    """
+    windows = [frame_signal(w, frame_length) for w in waves]
+    n, bins = len(windows[0]), frame_length // 2 + 1
+    frames = [np.empty((n, bins), complex) for _ in waves]
+    logspecs = np.empty((n, len(waves), 1, bins))
+
+    def part(b, at):
+        analyse(windows[b][at], out=frames[b][at])
+        log_magnitude(frames[b][at], out=logspecs[at, b, 0])
+
+    _share(pool, len(waves), n, part, part)
+    return logspecs, frames
 
 
 def _precompute(pool: ThreadPoolExecutor, waves: list[Waveform], mog: PhonemeMog,
@@ -311,14 +390,13 @@ def _precompute(pool: ThreadPoolExecutor, waves: list[Waveform], mog: PhonemeMog
     (N, B, 1, m), the rows' STFT frames, the noise model of the prefix and
     the speech side's blocks from :func:`_speech_ahead`.  The posteriors
     are the classifier's, checked here, or, for the generative source, an
-    empty array the recursion fills.  ``pool``'s worker starts on the
-    speech side as soon as the observations are checked, so it runs while
-    the classifier's forward pass does.
+    empty array the recursion fills.  ``pool``'s worker forms half of the
+    analysis, and starts on the speech side as soon as the observations
+    are checked, so it runs while the classifier's forward pass does.
     """
-    specs = [stft(w, cfg.frame_length) for w in waves]
-    if mog.n_bins != specs[0].n_bins:
+    if mog.n_bins != cfg.frame_length // 2 + 1:
         raise ValueError("mixture model bin count does not match frame length")
-    logspecs = _time_major([log_spectra(s) for s in specs])
+    logspecs, frames = _analysis(pool, waves, cfg.frame_length)
     rate = waves[0].sample_rate
     noise = init_from_prefix(noise_prefix_frames(logspecs, rate, cfg))
     # adapt's checks, once per utterance (the SPP's after the recursion),
@@ -329,30 +407,34 @@ def _precompute(pool: ThreadPoolExecutor, waves: list[Waveform], mog: PhonemeMog
     if cfg.posterior_source == "generative":
         posteriors = np.empty(logspecs.shape[:2] + (1, mog.n_components))
     else:
-        posteriors = _time_major([_nn_posteriors(s, rate, mog, net) for s in specs])
+        posteriors = np.stack([
+            _nn_posteriors(ComplexSpectrogram(frames=f, frame_length=cfg.frame_length),
+                           rate, mog, net) for f in frames], axis=1)[:, :, np.newaxis]
         check_posteriors(posteriors)
-    return logspecs, posteriors, [s.frames for s in specs], noise, speech
+    return logspecs, posteriors, frames, noise, speech
 
 
 def _speech_ahead(pool: ThreadPoolExecutor, zs: np.ndarray, mog: PhonemeMog,
                   block: int) -> Iterator:
-    """:func:`speech_terms` of the frames ``zs``, as ``(frames, (f, F))`` per
-    block of ``block`` frames, where ``frames`` is the block's slice.
+    """:func:`speech_terms` of the frames ``zs``, (N, B, K), as
+    ``(frames, (f, F))`` per block of ``block`` frames, where ``frames`` is
+    the block's slice.
 
     ``pool``'s worker forms one block per task, in the caller's context, so
     its ``np.errstate`` applies there too.  This call submits the first
-    ``SPEECH_AHEAD`` blocks, and each block the caller takes submits the
-    next, so at most ``SPEECH_AHEAD`` blocks are submitted and not used up.
-    A block the worker has not finished when its turn comes is cancelled, if
-    the worker has not started it, and formed here.  So the caller never
-    waits for a worker that a busy core holds up, and only the block the
-    worker is inside can be formed twice.  The values, and the errors under
-    the caller's ``np.errstate``, are the same either way, since
-    ``speech_terms`` is elementwise: the worker's error is raised when its
-    block is taken.  The blocks still queued when the caller stops early
-    are cancelled by ``pool``'s shutdown.
+    blocks, as many whole blocks as ``SPEECH_AHEAD`` frame-rows hold (at
+    least one), and each block the caller takes submits the next, so no
+    more are submitted and not used up.  A block the worker has not
+    finished when its turn comes is cancelled, if the worker has not
+    started it, and formed here.  So the caller never waits for a worker
+    that a busy core holds up, and only the block the worker is inside can
+    be formed twice.  The values, and the errors under the caller's
+    ``np.errstate``, are the same either way, since ``speech_terms`` is
+    elementwise: the worker's error is raised when its block is taken.  The
+    blocks still queued when the caller stops early are cancelled by
+    ``pool``'s shutdown.
     """
-    ahead = SPEECH_AHEAD * block
+    ahead = max(block, SPEECH_AHEAD // zs.shape[1] // block * block)
 
     def submit(first):
         at = slice(first, first + block)
@@ -426,19 +508,42 @@ def _recursion(logspecs: np.ndarray, posteriors: np.ndarray, noise: NoiseModel, 
     return spp, xhat, noise, (undecidable, tail)
 
 
-def _tail(waves: list[Waveform], cfg: EnhancerConfig, frames: list, frame_mean_spp: np.ndarray,
+def _synthesis(pool: ThreadPoolExecutor, cfg: EnhancerConfig, logspecs: np.ndarray,
+               spp: np.ndarray, xhat: np.ndarray | None, frames: list) -> list[np.ndarray]:
+    """Each row's windowed synthesis segments, (N, frame_length), formed on
+    both threads by :func:`_share`: the estimate (soft subtraction, or the
+    MMSE one in ``xhat``), :func:`reconstruct_frame` with the noisy phase and
+    :func:`synthesise`, every one frame by frame or element by element.  The
+    worker calls the first two through their own modules, so a wrapper on
+    this module's names sees the calling thread's calls alone.
+    """
+    segs = [np.empty((len(f), cfg.frame_length)) for f in frames]
+
+    def part(subtract, reconstruct, b, at):
+        if xhat is None:
+            x = subtract(logspecs[at, b, 0], spp[at, b, 0], cfg.beta)
+        else:
+            x = xhat[at, b, 0]
+        synthesise(reconstruct(x, frames[b][at]), cfg.frame_length, out=segs[b][at])
+
+    _share(pool, len(frames), len(logspecs), partial(part, soft_subtract, reconstruct_frame),
+           partial(part, mixmax.soft_subtract, dsp.reconstruct_frame))
+    return segs
+
+
+def _tail(waves: list[Waveform], cfg: EnhancerConfig, segs: list, frame_mean_spp: np.ndarray,
           posteriors: np.ndarray, noise: NoiseModel, counts: tuple) -> list:
-    """Overlap-add of each row's reconstructed frames, and the row's report.
+    """Overlap-add of each row's synthesis segments, and the row's report.
 
     ``counts`` is the recursion's (N, B) pair of fallback counts.  Each
-    row's frames are dropped once its waveform is formed.
+    row's segments are dropped once its waveform is formed.
     """
     pad = edge_padding(cfg.frame_length)
     undecidable, tail = (c.sum(axis=0).tolist() for c in counts)
     results = []
     for b, w in enumerate(waves):
-        y = istft(ComplexSpectrogram(frames=frames[b], frame_length=cfg.frame_length))
-        frames[b] = None
+        y = overlap_add(segs[b])
+        segs[b] = None
         report = EnhancementReport(
             frame_mean_spp=frame_mean_spp[:, b, 0],
             posteriors=posteriors[:, b, 0],
@@ -453,32 +558,28 @@ def _tail(waves: list[Waveform], cfg: EnhancerConfig, frames: list, frame_mean_s
 def _run(waves: list[Waveform], mog: PhonemeMog, net: NnClassifier | None,
          cfg: EnhancerConfig) -> list[tuple[Waveform, EnhancementReport]]:
     """One recursion over B rows of one length and sample rate: the three
-    stages, with the tail's soft subtraction and reconstruction run here.
+    stages, with the tail's synthesis run here.
 
-    Each whole-utterance array is dropped once used, so the temporaries of
-    reconstruction and overlap-add do not stack on top of it.  The ``del``s
-    free the arrays because nothing else refers to them: the recursion's
-    per-block views of them go when :func:`_recursion` returns, and the
-    speech side's when its blocks run out.
+    The whole-utterance arrays are dropped before the overlap-add, so its
+    temporaries do not stack on top of them.  The ``del`` frees them
+    because nothing else refers to them: the recursion's per-block views of
+    them go when :func:`_recursion` returns, and the speech side's when its
+    blocks run out.
 
-    The one worker thread of the speech side lives for the first two
-    stages.  Whichever way they end, the blocks it has not started are
+    The one worker thread lives from the analysis to the end of synthesis.
+    Whichever way they end, the parts and blocks it has not started are
     cancelled, and it is joined once it has finished the one it is inside.
     """
     pool = ThreadPoolExecutor(max_workers=1)
     try:
         logspecs, posteriors, frames, noise, speech = _precompute(pool, waves, mog, net, cfg)
         spp, xhat, noise, counts = _recursion(logspecs, posteriors, noise, mog, cfg, speech)
+        frame_mean_spp = spp.mean(axis=-1)
+        segs = _synthesis(pool, cfg, logspecs, spp, xhat, frames)
     finally:
         pool.shutdown(cancel_futures=True)
-    frame_mean_spp = spp.mean(axis=-1)
-    if xhat is None:
-        xhat = soft_subtract(logspecs, spp, cfg.beta)
-    del spp, logspecs
-    for b in range(len(waves)):
-        frames[b] = reconstruct_frame(xhat[:, b, 0], frames[b])
-    del xhat
-    return _tail(waves, cfg, frames, frame_mean_spp, posteriors, noise, counts)
+    del logspecs, spp, xhat, frames
+    return _tail(waves, cfg, segs, frame_mean_spp, posteriors, noise, counts)
 
 
 def enhance_batch(

@@ -13,14 +13,19 @@ from nnmm.corpus import SyntheticCorpusSpec, default_envelopes
 from nnmm.dsp import (
     ComplexSpectrogram,
     Waveform,
+    analyse,
     analysis_window,
     edge_padding,
+    frame_signal,
     istft,
+    log_magnitude,
     log_spectra,
     num_frames,
+    overlap_add,
     read_wav,
     reconstruct_frame,
     stft,
+    synthesise,
     write_wav,
 )
 from nnmm.enhancer import EnhancerConfig
@@ -182,6 +187,29 @@ class TestAgainstFrameLoops:
         s = stft(w, frame_length)
         np.testing.assert_array_equal(s.frames, stft_by_gather(w, frame_length).frames)
         np.testing.assert_array_equal(istft(s), istft_by_frame(s))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
+    def test_frame_parts_equal_the_whole(self, k):
+        """stft is analyse of frame_signal, and istft overlap_add of
+        synthesise.  Analysed, log-scaled and synthesised in two parts at
+        every split of the first k frames, into one array each, the frames
+        equal the whole's bit for bit."""
+        rng = np.random.default_rng(k)
+        w = Waveform(samples=rng.standard_normal(3000), sample_rate=16000)
+        whole = ComplexSpectrogram(frames=stft(w, 256).frames[:k], frame_length=256)
+        windows = frame_signal(w, 256)[:k]
+        for mid in range(k + 1):
+            frames = np.empty((k, 129), complex)
+            logs = np.empty((k, 129))
+            segs = np.empty((k, 256))
+            for at in (slice(0, mid), slice(mid, k)):
+                analyse(windows[at], out=frames[at])
+                log_magnitude(frames[at], out=logs[at])
+                synthesise(frames[at], 256, out=segs[at])
+            np.testing.assert_array_equal(frames, whole.frames)
+            np.testing.assert_array_equal(logs, log_spectra(whole))
+            np.testing.assert_array_equal(overlap_add(segs), istft(whole))
+        np.testing.assert_array_equal(overlap_add(segs), istft_by_frame(whole))
 
     def test_reconstruct_stack_matches_masked_formula(self):
         rng = np.random.default_rng(7)

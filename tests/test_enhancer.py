@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnmm.dsp
 import nnmm.enhancer as enhancer
+import nnmm.mixmax
 from nnmm.corpus import (
     SyntheticCorpusSpec,
     assemble_frames,
@@ -26,6 +28,7 @@ from nnmm.dsp import (
     Waveform,
     edge_padding,
     istft,
+    log_magnitude,
     log_spectra,
     reconstruct_frame,
     stft,
@@ -103,15 +106,26 @@ def named_input(name, clean, noisy):
     return {"white": noisy, "silence-gap": with_silence_gap(noisy)}[name]
 
 
-def count_calls(monkeypatch, names):
-    """Count the calls ``nnmm.enhancer`` makes to each named function; a
-    name never called stays out of the returned dict."""
-    calls = {}
+def count_calls(monkeypatch, names, module=enhancer, calls=None):
+    """Count the calls ``module``'s named functions get through its names,
+    by default those ``nnmm.enhancer`` makes, into ``calls``; a name never
+    called stays out of the returned dict."""
+    calls = {} if calls is None else calls
     for name in names:
-        def counted(*args, _fn=getattr(enhancer, name), _name=name, **kwargs):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(enhancer, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_synthesis_calls(monkeypatch, names):
+    """:func:`count_calls` of ``names`` with the synthesis kernels counted
+    on both threads: the worker calls ``soft_subtract`` and
+    ``reconstruct_frame`` through their own modules."""
+    calls = count_calls(monkeypatch, names)
+    count_calls(monkeypatch, ("reconstruct_frame",), nnmm.dsp, calls)
+    count_calls(monkeypatch, ("soft_subtract",), nnmm.mixmax, calls)
     return calls
 
 
@@ -474,16 +488,18 @@ class TestHoisting:
                 for r in reports] == list(zip(undecidable.sum(axis=0), tail.sum(axis=0)))
 
     def test_noise_independent_work_runs_once(self, setup, monkeypatch):
-        """One utterance: one NN forward, one subtraction and one
-        reconstruction over all frames; dominance once per step of
-        NOISE_STEP frames, adaptation per frame."""
+        """One utterance: one NN forward over all frames; one subtraction
+        and one reconstruction per part, two over the two threads;
+        dominance once per step of NOISE_STEP frames, adaptation per
+        frame."""
         mog, net, _, noisy = setup
-        calls = count_calls(monkeypatch, ("forward", "reconstruct_frame", "soft_subtract",
-                                          "speech_dominance", "adapt"))
+        calls = count_synthesis_calls(monkeypatch, ("forward", "reconstruct_frame",
+                                                    "soft_subtract", "speech_dominance",
+                                                    "adapt"))
         _, report = enhance_utterance(noisy, mog, net, EnhancerConfig())
         n = report.frames_processed
         assert n > enhancer.SPEECH_BLOCK  # more than one block of frames
-        assert calls == {"forward": 1, "reconstruct_frame": 1, "soft_subtract": 1,
+        assert calls == {"forward": 1, "reconstruct_frame": 2, "soft_subtract": 2,
                          "speech_dominance": -(-n // enhancer.NOISE_STEP), "adapt": n}
 
     @pytest.mark.parametrize("estimator,posterior_source", MODES)
@@ -618,17 +634,18 @@ class TestBatching:
 
     def test_one_recursion_for_all_rows(self, setup, monkeypatch):
         """Three rows: dominance once per step of NOISE_STEP frames and
-        adaptation once per frame for all of them; the forward pass and
-        reconstruction once per row."""
+        adaptation once per frame for all of them; the forward pass once per
+        row; subtraction and reconstruction once per part, two per row."""
         mog, net, _, noisy = setup
-        calls = count_calls(monkeypatch, ("forward", "reconstruct_frame", "soft_subtract",
-                                          "speech_dominance", "adapt"))
+        calls = count_synthesis_calls(monkeypatch, ("forward", "reconstruct_frame",
+                                                    "soft_subtract", "speech_dominance",
+                                                    "adapt"))
 
         waves = noisy_rows(noisy, [(1, 0.0, False, False), (2, 5.0, True, False),
                                    (3, 10.0, False, True)])
         pairs = enhance_batch(waves, mog, net, EnhancerConfig())
         n = pairs[0][1].frames_processed
-        assert calls == {"forward": 3, "reconstruct_frame": 3, "soft_subtract": 1,
+        assert calls == {"forward": 3, "reconstruct_frame": 6, "soft_subtract": 6,
                          "speech_dominance": -(-n // enhancer.NOISE_STEP), "adapt": n}
 
     def test_posteriors_checked_before_the_recursion(self, setup, monkeypatch):
@@ -673,6 +690,42 @@ def per_frame_forward(monkeypatch):
     too."""
     monkeypatch.setattr(enhancer, "forward",
                         lambda net, feats: np.stack([forward(net, x) for x in feats]))
+
+
+def formed_before_the_recursion(setup, monkeypatch, rows):
+    """The frames of each block the worker formed, with the classifier's
+    forward pass stalled and then with the first step stalled, for ``rows``
+    rows a block longer than SPEECH_AHEAD frame-rows hold, and the frame
+    count of a row."""
+    mog, net, _, noisy = setup
+    hop = EnhancerConfig().frame_length // 4
+    copies = 2 + (enhancer.SPEECH_AHEAD // rows + row_block(rows)) * hop // len(noisy)
+    waves = noisy_rows(Waveform(samples=np.tile(noisy.samples, copies),
+                                sample_rate=noisy.sample_rate),
+                       [(seed, 5.0, False, False) for seed in range(rows)])
+    caller, there, seen = threading.current_thread(), [], []
+
+    def on_the_worker(zs, mog):
+        if threading.current_thread() is not caller:
+            there.append(len(zs))
+        return speech_terms(zs, mog)
+
+    def stalled(fn):
+        def wait_then_call(*args, **kwargs):
+            if len(seen) < 2:
+                time.sleep(0.3)
+                seen.append(list(there))
+            return fn(*args, **kwargs)
+        return wait_then_call
+
+    monkeypatch.setattr(enhancer, "speech_terms", on_the_worker)
+    monkeypatch.setattr(enhancer, "forward", stalled(enhancer.forward))
+    monkeypatch.setattr(enhancer, "weighted_spp", stalled(enhancer.weighted_spp))
+    try:
+        n = enhance_batch(waves, mog, net, EnhancerConfig())[0][1].frames_processed
+    finally:
+        monkeypatch.undo()
+    return seen, n
 
 
 class TestSpeechSideWorker:
@@ -786,7 +839,7 @@ class TestSpeechSideWorker:
         caller takes it, so once released the worker forms none of them."""
         mog = setup[0]
         block = enhancer.SPEECH_BLOCK
-        frames = 3 * enhancer.SPEECH_AHEAD * block + 5
+        frames = 3 * enhancer.SPEECH_AHEAD + 5
         zs = np.repeat(mog.means.mean(axis=0)[np.newaxis, np.newaxis], frames, axis=0)
         caller, release, there = threading.current_thread(), threading.Event(), []
 
@@ -807,38 +860,28 @@ class TestSpeechSideWorker:
             (first, first + block) for first in range(0, frames, block)]
         assert there == [block]
 
-    def test_lookahead_starts_early_and_is_bounded(self, setup, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 6], ids=["one-row", "six-rows"])
+    def test_lookahead_starts_early_and_is_bounded(self, setup, monkeypatch, rows):
         """The worker starts on the speech side before the classifier's
-        forward pass, and runs at most SPEECH_AHEAD blocks ahead: with the
-        forward pass stalled, and then the first step, it has formed
-        exactly SPEECH_AHEAD blocks, though the utterance has more."""
-        mog, net, _, noisy = setup
-        block = enhancer.SPEECH_BLOCK
-        hop = EnhancerConfig().frame_length // 4
-        copies = 2 + (enhancer.SPEECH_AHEAD + 1) * block * hop // len(noisy)
-        w = Waveform(samples=np.tile(noisy.samples, copies), sample_rate=noisy.sample_rate)
+        forward pass, and runs at most SPEECH_AHEAD frame-rows ahead, in
+        whole blocks: with the forward pass stalled, and then the first
+        step, it has formed exactly as many blocks as SPEECH_AHEAD
+        frame-rows hold, though the utterance has more."""
+        block = row_block(rows)
+        ahead = enhancer.SPEECH_AHEAD // (rows * block)
+        seen, n = formed_before_the_recursion(setup, monkeypatch, rows)
+        assert n > (ahead + 1) * block
+        assert seen == [[block] * ahead] * 2
 
-        caller, there, seen = threading.current_thread(), [], []
-
-        def on_the_worker(zs, mog):
-            if threading.current_thread() is not caller:
-                there.append(len(zs))
-            return speech_terms(zs, mog)
-
-        def stalled(fn):
-            def wait_then_call(*args, **kwargs):
-                if len(seen) < 2:
-                    time.sleep(0.3)
-                    seen.append(list(there))
-                return fn(*args, **kwargs)
-            return wait_then_call
-
-        monkeypatch.setattr(enhancer, "speech_terms", on_the_worker)
-        monkeypatch.setattr(enhancer, "forward", stalled(enhancer.forward))
-        monkeypatch.setattr(enhancer, "weighted_spp", stalled(enhancer.weighted_spp))
-        n = enhance_utterance(w, mog, net, EnhancerConfig())[1].frames_processed
-        assert n > (enhancer.SPEECH_AHEAD + 1) * block
-        assert seen == [[block] * enhancer.SPEECH_AHEAD] * 2
+    def test_batch_looks_ahead_as_far_as_one_row(self, setup, monkeypatch):
+        """The bound is in frame-rows, so six rows, whose blocks are 8
+        frames of 6 rows, look ahead as far as one row does, to within one
+        of their blocks."""
+        formed = {}
+        for rows in (1, 6):
+            seen, _ = formed_before_the_recursion(setup, monkeypatch, rows)
+            formed[rows] = rows * sum(seen[-1])
+        assert formed[1] - 6 * row_block(6) < formed[6] <= enhancer.SPEECH_AHEAD
 
     @pytest.mark.parametrize("fault", ["nan-posterior", "class-count"])
     def test_queued_chunks_cancelled_on_an_early_error(self, setup, monkeypatch, fault):
@@ -898,20 +941,122 @@ class TestSpeechSideWorker:
 
     def test_outputs_equal_under_fast_switching(self, setup):
         """Thread switches every microsecond interleave the worker with the
-        recursion as finely as the interpreter allows; nothing changes."""
-        mog, net, _, noisy = setup
+        analysis, the recursion and the synthesis as finely as the
+        interpreter allows, for one row and for a batch of three; nothing
+        changes."""
+        mog, net, clean, noisy = setup
         w = with_silence_gap(noisy)
+        rows = noisy_rows(clean, [(1, 0.0, False, False), (2, 5.0, True, True),
+                                  (3, 10.0, False, True)])
         cfgs = [EnhancerConfig(), EnhancerConfig(estimator="mixmax-mmse",
                                                  posterior_source="generative"), REFERENCE]
-        expected = [enhance_utterance(w, mog, net, cfg) for cfg in cfgs]
+
+        def calls():
+            return [pair for cfg in cfgs for pair in
+                    [enhance_utterance(w, mog, net, cfg), *enhance_batch(rows, mog, net, cfg)]]
+
+        expected = calls()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [enhance_utterance(w, mog, net, cfg) for cfg in cfgs]
+            got = calls()
         finally:
             sys.setswitchinterval(interval)
         for pair, want in zip(got, expected, strict=True):
             assert_same_row(pair, want)
+
+
+# ---------------------------------------------------------------------------
+# Analysis and synthesis in frame parts on both threads
+# ---------------------------------------------------------------------------
+
+
+class TestFrameParts:
+    """Each row's frames are analysed and synthesised in two parts, the
+    later one submitted to the worker; the parts equal dsp's stft,
+    log_spectra and istft bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 6])
+    @pytest.mark.parametrize("n_samples", [512, 640, 768, 16037],
+                             ids=["7-frames", "8-frames", "9-frames", "129-frames"])
+    def test_analysis_equals_stft(self, rows, n_samples):
+        rng = np.random.default_rng(n_samples + rows)
+        waves = [Waveform(samples=rng.standard_normal(n_samples), sample_rate=16000)
+                 for _ in range(rows)]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            logspecs, frames = enhancer._analysis(pool, waves, 512)
+        assert logspecs.shape[:3] == (len(frames[0]), rows, 1)
+        for b, w in enumerate(waves):
+            spec = stft(w, 512)
+            np.testing.assert_array_equal(frames[b], spec.frames)
+            np.testing.assert_array_equal(logspecs[:, b, 0], log_spectra(spec))
+
+    @pytest.mark.parametrize("rows", [1, 3, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    @pytest.mark.parametrize("estimator", enhancer.ESTIMATORS)
+    def test_synthesis_equals_istft(self, rows, n, estimator):
+        """Soft subtraction or the MMSE estimate, reconstruction and the
+        inverse transform in parts, then one overlap-add per row."""
+        rng = np.random.default_rng(10 * n + rows)
+        bins = 257
+        logspecs = rng.normal(size=(n, rows, 1, bins))
+        spp = rng.uniform(size=logspecs.shape)
+        xhat = rng.normal(size=logspecs.shape) if estimator == "mixmax-mmse" else None
+        frames = [rng.standard_normal((n, bins)) + 1j * rng.standard_normal((n, bins))
+                  for _ in range(rows)]
+        frames[0][0, :5] = 0.0  # bins with no phase
+        cfg = EnhancerConfig(estimator=estimator)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            segs = enhancer._synthesis(pool, cfg, logspecs, spp, xhat, frames)
+        estimate = soft_subtract(logspecs, spp, cfg.beta) if xhat is None else xhat
+        for b in range(rows):
+            whole = reconstruct_frame(estimate[:, b, 0], frames[b])
+            np.testing.assert_array_equal(
+                enhancer.overlap_add(segs[b]),
+                istft(ComplexSpectrogram(frames=whole, frame_length=512)))
+
+    @pytest.mark.parametrize("ending", ["return", "error"])
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
+    @pytest.mark.parametrize("stage", ["analyse", "synthesise"])
+    def test_parts_not_started_are_formed_here(self, setup, monkeypatch, stage, rows, ending):
+        """With the worker held inside its first part of a stage, the caller
+        forms every other part of that stage: its own, and the worker's,
+        which it cancels as they were not started.  It then waits only for
+        the held part.  The outputs do not change, and no thread outlives
+        the call, nor a call whose last part on the caller raises."""
+        mog, net, clean, _ = setup
+        waves = noisy_rows(clean, [(seed, 5.0, False, False) for seed in range(rows)])
+        expected = enhance_batch(waves, mog, net, EnhancerConfig())
+        n = expected[0][1].frames_processed
+        kernel, caller = getattr(enhancer, stage), threading.current_thread()
+        entered, release, here, there = threading.Event(), threading.Event(), [], []
+
+        def held(frames, *args, **kwargs):
+            if threading.current_thread() is caller:
+                entered.wait(10)
+                here.append(len(frames))
+                if len(here) == 2 * rows - 1:
+                    release.set()
+                    if ending == "error":
+                        raise RuntimeError("last part")
+            else:
+                there.append(len(frames))
+                entered.set()
+                release.wait(10)
+            return kernel(frames, *args, **kwargs)
+
+        monkeypatch.setattr(enhancer, stage, held)
+        baseline = threading.active_count()
+        if ending == "error":
+            with pytest.raises(RuntimeError, match="last part"):
+                enhance_batch(waves, mog, net, EnhancerConfig())
+        else:
+            for got, want in zip(enhance_batch(waves, mog, net, EnhancerConfig()), expected,
+                                 strict=True):
+                assert_same_row(got, want)
+        assert threading.active_count() == baseline
+        assert there == [n - n // 2]
+        assert here == [n // 2] * rows + [n - n // 2] * (rows - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,12 +1145,12 @@ class TestInputChecks:
     def test_non_finite_observation_rejected_before_the_recursion(self, setup, monkeypatch):
         mog, net, _, noisy = setup
 
-        def with_nan(spec):
-            logs = log_spectra(spec)
+        def with_nan(frames, out=None):
+            logs = log_magnitude(frames, out=out)
             logs[-1, 3] = np.nan
             return logs
 
-        monkeypatch.setattr(enhancer, "log_spectra", with_nan)
+        monkeypatch.setattr(enhancer, "log_magnitude", with_nan)
         frames = []
         monkeypatch.setattr(enhancer, "speech_dominance", lambda *a, **k: frames.append(a))
         # on neither thread: the worker gets no frame before the check
